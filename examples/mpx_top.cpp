@@ -130,14 +130,17 @@ int renderOnce(const std::string& host, std::uint16_t port, bool clear) {
   const std::uint64_t watermark =
       jsonU64(body, "watermark_level", 0, ~std::uint64_t{0});
   const std::uint64_t pending = jsonU64(body, "pending_messages");
+  const std::uint64_t buffered = jsonU64(body, "buffered_messages");
   std::printf("mpx_top — %s:%u   levels=%llu watermark=%lld pending=%llu "
-              "degradation=%s finished=%s checkpoints=%llu restored=%llu\n",
+              "buffered=%llu degradation=%s finished=%s checkpoints=%llu "
+              "restored=%llu\n",
               host.c_str(), static_cast<unsigned>(port),
               static_cast<unsigned long long>(levels),
               watermark == ~std::uint64_t{0}
                   ? -1ll
                   : static_cast<long long>(watermark),
               static_cast<unsigned long long>(pending),
+              static_cast<unsigned long long>(buffered),
               jsonStr(body, "degradation").c_str(),
               jsonBool(body, "finished") ? "yes" : "no",
               static_cast<unsigned long long>(
@@ -147,31 +150,27 @@ int renderOnce(const std::string& host, std::uint16_t port, bool clear) {
 
   const std::vector<std::string> sessions = arrayChunks(body, "sessions");
   if (!sessions.empty()) {
-    std::printf("%-16s %-18s %5s %4s %9s %7s %4s %5s %4s\n", "TENANT",
-                "TRACE", "EPOCH", "RST", "WATERMARK", "PENDING", "VIOL",
-                "ENDED", "FIN");
+    std::printf("%-16s %-18s %5s %4s %9s %7s %8s %4s %5s %4s\n", "TENANT",
+                "TRACE", "EPOCH", "RST", "WATERMARK", "PENDING", "BUFFERED",
+                "VIOL", "ENDED", "FIN");
     for (const std::string& chunk : sessions) {
       const std::string tenant = jsonStr(chunk, "tenant");
       char tracebuf[19];
       std::snprintf(tracebuf, sizeof tracebuf, "%016llx",
                     static_cast<unsigned long long>(
                         jsonU64(chunk, "trace_id")));
-      std::printf("%-16s %-18s %5llu %4llu %9llu %7llu %4llu %5llu %4s\n",
-                  tenant == "?" || tenant.empty() ? "(default)"
-                                                  : tenant.c_str(),
-                  tracebuf,
-                  static_cast<unsigned long long>(jsonU64(chunk, "epoch")),
-                  static_cast<unsigned long long>(
-                      jsonU64(chunk, "restores")),
-                  static_cast<unsigned long long>(
-                      jsonU64(chunk, "watermark_level")),
-                  static_cast<unsigned long long>(
-                      jsonU64(chunk, "pending_messages")),
-                  static_cast<unsigned long long>(
-                      jsonU64(chunk, "violations")),
-                  static_cast<unsigned long long>(
-                      jsonU64(chunk, "streams_ended")),
-                  jsonBool(chunk, "finished") ? "yes" : "no");
+      std::printf(
+          "%-16s %-18s %5llu %4llu %9llu %7llu %8llu %4llu %5llu %4s\n",
+          tenant == "?" || tenant.empty() ? "(default)" : tenant.c_str(),
+          tracebuf,
+          static_cast<unsigned long long>(jsonU64(chunk, "epoch")),
+          static_cast<unsigned long long>(jsonU64(chunk, "restores")),
+          static_cast<unsigned long long>(jsonU64(chunk, "watermark_level")),
+          static_cast<unsigned long long>(jsonU64(chunk, "pending_messages")),
+          static_cast<unsigned long long>(jsonU64(chunk, "buffered_messages")),
+          static_cast<unsigned long long>(jsonU64(chunk, "violations")),
+          static_cast<unsigned long long>(jsonU64(chunk, "streams_ended")),
+          jsonBool(chunk, "finished") ? "yes" : "no");
     }
   }
 

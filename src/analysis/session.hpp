@@ -104,6 +104,10 @@ class AnalyzerSession {
   [[nodiscard]] std::size_t pendingMessages() const {
     return analyzer_->pendingMessages();
   }
+  /// Messages the analyzer holds in memory (pending + still-reachable).
+  [[nodiscard]] std::size_t bufferedMessages() const {
+    return analyzer_->bufferedMessages();
+  }
   /// Per-thread consumption watermark (the daemon's frame-settling input).
   [[nodiscard]] const std::vector<LocalSeq>& consumedK() const {
     return analyzer_->consumedK();

@@ -1141,6 +1141,8 @@ std::string ObserverDaemon::renderStreamsJson() const {
                 ds != nullptr ? ds->watermarkLevel() : 0);
   appendJsonU64(out, "pending_messages",
                 ds != nullptr ? ds->pendingMessages() : 0);
+  appendJsonU64(out, "buffered_messages",
+                ds != nullptr ? ds->bufferedMessages() : 0);
   out += "\"degradation\": \"";
   out += observer::toString(stats.degradation);
   out += "\", \"bound_reason\": \"";
@@ -1180,6 +1182,7 @@ std::string ObserverDaemon::renderStreamsJson() const {
     appendJsonU64(out, "restores", ss.session->restoreCount());
     appendJsonU64(out, "watermark_level", ss.session->watermarkLevel());
     appendJsonU64(out, "pending_messages", ss.session->pendingMessages());
+    appendJsonU64(out, "buffered_messages", ss.session->bufferedMessages());
     appendJsonU64(out, "violations", ss.session->violations().size());
     appendJsonU64(out, "streams_ended", ss.session->streamsEnded());
     appendJsonU64(out, "accounted_bytes", ss.session->stats().accountedBytes);

@@ -37,6 +37,16 @@ const char* toString(BoundReason r) noexcept {
   return "?";
 }
 
+PathNode::~PathNode() {
+  // Each step detaches the next node's parent before that node dies, so no
+  // destructor below this one recurses.  A node still shared by another
+  // path stops the walk.
+  PathPtr next = std::move(parent);
+  while (next != nullptr && next.use_count() == 1) {
+    next = std::move(next->parent);
+  }
+}
+
 std::vector<EventRef> unwindPath(const PathPtr& path) {
   std::vector<EventRef> out;
   for (const PathNode* p = path.get(); p != nullptr; p = p->parent.get()) {

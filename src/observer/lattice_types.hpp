@@ -97,8 +97,16 @@ struct CutHash {
 
 /// Persistent (shared-suffix) path witness: the run that led to a node.
 struct PathNode {
+  PathNode(EventRef e, std::shared_ptr<const PathNode> p)
+      : event(e), parent(std::move(p)) {}
+  /// Releases the parent chain iteratively.  A chain has one node per
+  /// lattice level, and releasing a long run's chain recursively would
+  /// overflow the stack.
+  ~PathNode();
+
   EventRef event;
-  std::shared_ptr<const PathNode> parent;
+  /// Mutable so the destructor can detach it from a const node.
+  mutable std::shared_ptr<const PathNode> parent;
 };
 using PathPtr = std::shared_ptr<const PathNode>;
 

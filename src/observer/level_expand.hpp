@@ -134,7 +134,7 @@ inline void applyEdge(const Cut& cut, const FrontierNode& node, ThreadId j,
       if (child.mstates.contains(nm)) continue;
       PathPtr npath;
       if (opts.recordPaths) {
-        npath = std::make_shared<const PathNode>(PathNode{ref, witness});
+        npath = std::make_shared<const PathNode>(ref, witness);
       }
       child.mstates.emplace(nm, npath);
       if (mon->isViolating(nm)) {
@@ -143,8 +143,7 @@ inline void applyEdge(const Cut& cut, const FrontierNode& node, ThreadId j,
       }
     }
   } else if (opts.recordPaths && inserted) {
-    child.anyPath =
-        std::make_shared<const PathNode>(PathNode{ref, node.anyPath});
+    child.anyPath = std::make_shared<const PathNode>(ref, node.anyPath);
   }
 }
 

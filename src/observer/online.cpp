@@ -1,7 +1,9 @@
 #include "observer/online.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "observer/analysis.hpp"
 #include "observer/budget.hpp"
@@ -15,11 +17,47 @@
 
 namespace mpx::observer {
 
+namespace {
+
+/// Per-thread minimum and maximum of k_j over the frontier cuts (all zero
+/// for an empty frontier).
+std::pair<std::vector<LocalSeq>, std::vector<LocalSeq>> frontierBounds(
+    const detail::Frontier& frontier, std::size_t threads) {
+  std::vector<LocalSeq> minK(
+      threads, frontier.empty() ? 0 : std::numeric_limits<LocalSeq>::max());
+  std::vector<LocalSeq> maxK(threads, 0);
+  for (const auto& [cut, node] : frontier) {
+    for (ThreadId j = 0; j < threads; ++j) {
+      minK[j] = std::min<LocalSeq>(minK[j], cut.k[j]);
+      maxK[j] = std::max<LocalSeq>(maxK[j], cut.k[j]);
+    }
+  }
+  return {std::move(minK), std::move(maxK)};
+}
+
+/// Erases the messages with index below `limit` from one thread's buffer,
+/// none of which lies below `from`.  Costs min(limit - from, buffer size)
+/// steps, so a restored frontier with a far-off minimum cannot make it
+/// loop long.
+void releaseBelow(std::unordered_map<LocalSeq, trace::Message>& buffer,
+                  LocalSeq from, LocalSeq limit) {
+  if (limit >= from && limit - from <= buffer.size()) {
+    for (LocalSeq k = from; k < limit; ++k) buffer.erase(k);
+  } else {
+    std::erase_if(buffer,
+                  [limit](const auto& kv) { return kv.first < limit; });
+  }
+}
+
+}  // namespace
+
 OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
                                LatticeMonitor* monitor, LatticeOptions opts)
     : space_(std::move(space)), monitor_(monitor), opts_(opts) {
   buffered_.resize(threads);
+  prefix_.assign(threads, 0);
   consumedK_.assign(threads, 0);
+  minK_.assign(threads, 0);
   // Level 0.
   detail::FrontierNode init;
   init.state = states_.intern(GlobalState(space_.initialValues()));
@@ -66,7 +104,8 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
 std::uint64_t OnlineAnalyzer::observedPathKey(const Cut& cut) const {
   // Mirrors ComputationLattice::observedPathKey: max globalSeq over the
   // cut's per-thread last events.  A frontier cut only includes events
-  // that already arrived, so find() never misses here.
+  // that already arrived, and its k_j is at least the release floor
+  // minK_[j], so find() never misses here.
   std::uint64_t key = 0;
   for (ThreadId j = 0; j < cut.k.size(); ++j) {
     if (cut.k[j] == 0) continue;
@@ -76,6 +115,12 @@ std::uint64_t OnlineAnalyzer::observedPathKey(const Cut& cut) const {
     }
   }
   return key;
+}
+
+std::size_t OnlineAnalyzer::bufferedMessages() const noexcept {
+  std::size_t n = 0;
+  for (const auto& perThread : buffered_) n += perThread.size();
+  return n;
 }
 
 const trace::Message* OnlineAnalyzer::find(ThreadId j, LocalSeq k) const {
@@ -100,11 +145,13 @@ void OnlineAnalyzer::onMessage(const trace::Message& m) {
         " beyond the declared thread count " +
         std::to_string(buffered_.size()));
   }
-  if (!buffered_[j].emplace(k, m).second) {
+  // Indices up to prefix_[j] have all arrived (and may already be freed).
+  if (k <= prefix_[j] || !buffered_[j].emplace(k, m).second) {
     throw std::runtime_error("OnlineAnalyzer: duplicate message for thread " +
                              std::to_string(j) + " index " +
                              std::to_string(k));
   }
+  while (buffered_[j].contains(prefix_[j] + 1)) ++prefix_[j];
   ++pending_;
   if constexpr (telemetry::kEnabled) {
     ObserverMetrics::get().backlogHwm.recordMax(
@@ -136,20 +183,26 @@ bool OnlineAnalyzer::enabled(const Cut& cut, ThreadId j,
 bool OnlineAnalyzer::canExpand() const {
   // The next level is computable when, for every frontier cut and thread,
   // the candidate next event (j, k_j + 1) is either buffered or known not
-  // to exist (trace ended and the thread's stream stops earlier).
-  bool anySuccessor = false;
-  for (const auto& [cut, node] : frontier_) {
-    for (ThreadId j = 0; j < cut.k.size(); ++j) {
-      const trace::Message* next = find(j, cut.k[j] + 1);
-      if (next != nullptr) {
-        anySuccessor = true;
-        continue;
-      }
-      if (!ended_) return false;  // might still arrive
+  // to exist (trace ended and the thread's stream stops earlier).  Some
+  // frontier cut consumed messages 1..consumedK_[j] of thread j, so every
+  // cut with k_j < consumedK_[j] already has its j-successor buffered;
+  // only the cuts at the per-thread maximum wait, on message
+  // consumedK_[j] + 1, which has arrived iff prefix_[j] exceeds it.
+  if (frontier_.empty() || prefix_.empty()) return false;
+  bool allNext = true;
+  bool anyNext = false;
+  for (ThreadId j = 0; j < prefix_.size(); ++j) {
+    if (prefix_[j] > consumedK_[j]) {
+      anyNext = true;
+    } else {
+      allNext = false;  // might still arrive
     }
   }
-  if (buffered_.empty() && !ended_) return false;
-  return anySuccessor;
+  if (!ended_) return allNext;
+  // After the end, expand while any cut has a successor: a thread with a
+  // message past its maximum, or a frontier of several cuts (one of them
+  // lies below the per-thread maximum on some thread).
+  return anyNext || frontier_.size() > 1;
 }
 
 parallel::ThreadPool* OnlineAnalyzer::poolForRun() {
@@ -188,11 +241,6 @@ void OnlineAnalyzer::expandOneLevel() {
                           return observedPathKey(cut);
                         });
 
-  // Consume: every event at the frontier's level is now folded in.  Each
-  // expansion uses one message per thread-successor; the per-level message
-  // consumption equals the number of distinct (j, k) pairs at this level,
-  // which is exactly the set of events whose EventRef appears.  We simply
-  // recompute pending_ from the high-water marks below.
   stats_.totalEdges += edges;
   stats_.totalNodes += next.size();
   stats_.peakLevelWidth = std::max(stats_.peakLevelWidth, next.size());
@@ -221,24 +269,7 @@ void OnlineAnalyzer::expandOneLevel() {
                         opts_.parallel.minFrontier);
   }
 
-  // Recompute pending: messages with index > max frontier k for their
-  // thread are still pending; consumed ones could be dropped here (true
-  // GC) — we keep them for path reconstruction but count precisely.  The
-  // per-thread maxima double as the consumption watermark the daemon
-  // measures emit-to-analyze lag against.
-  std::vector<LocalSeq> maxK(buffered_.size(), 0);
-  for (const auto& [cut, node] : frontier_) {
-    for (ThreadId j = 0; j < cut.k.size(); ++j) {
-      maxK[j] = std::max<LocalSeq>(maxK[j], cut.k[j]);
-    }
-  }
-  pending_ = 0;
-  for (ThreadId j = 0; j < buffered_.size(); ++j) {
-    for (const auto& [k, m] : buffered_[j]) {
-      if (k > maxK[j]) ++pending_;
-    }
-  }
-  consumedK_ = std::move(maxK);
+  settleFrontier();
 
   // Flight-recorder breadcrumbs: one record per level, plus rung changes
   // and fresh violations (the post-mortem story of the run).
@@ -253,6 +284,28 @@ void OnlineAnalyzer::expandOneLevel() {
   for (std::size_t i = violationsBefore; i < violations_.size(); ++i) {
     telemetry::FlightRecorder::global().record(
         telemetry::FlightEvent::kViolation, stats_.levels - 1);
+  }
+}
+
+void OnlineAnalyzer::settleFrontier() {
+  const std::size_t threads = buffered_.size();
+  auto [minK, maxK] = frontierBounds(frontier_, threads);
+  // A cut with k_j = m was reached by consuming messages 1..m of thread j,
+  // so pending_ = sum over j of (arrived - maxK): each arrival added one,
+  // and the change of maxK comes off here — also when budget shedding
+  // moved it backwards.  The maxima double as the consumption watermark
+  // the daemon measures emit-to-analyze lag against.
+  for (ThreadId j = 0; j < threads; ++j) {
+    pending_ += consumedK_[j];
+    pending_ -= maxK[j];
+  }
+  consumedK_ = std::move(maxK);
+  // Release: no cut reaches below minK[j] again, so thread j's messages
+  // under it are garbage (witness paths hold EventRefs, not messages).
+  if (frontier_.empty()) return;
+  for (ThreadId j = 0; j < threads; ++j) {
+    releaseBelow(buffered_[j], minK_[j], minK[j]);
+    minK_[j] = minK[j];
   }
 }
 
@@ -332,8 +385,8 @@ void OnlineAnalyzer::checkpoint(ckpt::Writer& w) const {
   w.u64(pending_);
   for (const LocalSeq k : consumedK_) w.u64(k);
 
-  // Buffered messages, per thread in index order, each self-delimited by
-  // an explicit length so the reader can bound its copy.
+  // The buffered live window, per thread in index order, each message
+  // self-delimited by an explicit length so the reader can bound its copy.
   for (ThreadId j = 0; j < buffered_.size(); ++j) {
     std::vector<LocalSeq> keys;
     keys.reserve(buffered_[j].size());
@@ -484,7 +537,7 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
     const std::uint64_t parent = r.u64();
     if (parent >= i) return false;  // parents precede children
     paths[static_cast<std::size_t>(i)] = std::make_shared<const PathNode>(
-        PathNode{e, paths[static_cast<std::size_t>(parent)]});
+        e, paths[static_cast<std::size_t>(parent)]);
   }
   const auto pathAt = [&](std::uint64_t id) -> PathPtr {
     if (id > pathCount) {
@@ -526,7 +579,21 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
   for (std::uint64_t i = 0; i < vcount && r.ok(); ++i) {
     violations_.push_back(ckpt::readViolation(r));
   }
-  return r.ok();
+  if (!r.ok()) return false;
+
+  // Rebuild the arrival prefixes: messages 1..consumedK_[j] have all
+  // arrived, and the ones above it are buffered.  A blob from before
+  // messages were released still carries consumed ones below the frontier
+  // minimum: free them now.
+  auto [minK, maxK] = frontierBounds(frontier_, buffered_.size());
+  if (maxK != consumedK_) return false;
+  minK_ = std::move(minK);
+  for (ThreadId j = 0; j < buffered_.size(); ++j) {
+    releaseBelow(buffered_[j], 0, minK_[j]);
+    prefix_[j] = consumedK_[j];
+    while (buffered_[j].contains(prefix_[j] + 1)) ++prefix_[j];
+  }
+  return true;
 }
 
 void OnlineAnalyzer::finalize() {

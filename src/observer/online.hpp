@@ -12,9 +12,13 @@
 // order (Theorem 3 makes per-thread positions recoverable from the clocks).
 // After each arrival it advances the lattice as many whole levels as the
 // buffered messages allow, runs the monitor over the new level, reports
-// violations immediately, and garbage-collects the previous level.  The
-// offline ComputationLattice is the batch special case of this; the tests
-// assert they produce identical verdicts and statistics.
+// violations immediately, and garbage-collects the previous level and
+// every message no frontier cut can reach again.  Per-level bookkeeping
+// costs O(threads), not O(messages received), so a long stream is
+// analyzed in time linear in its length, with a message buffer bounded by
+// the live window (DESIGN.md §5f).  The offline ComputationLattice is the
+// batch special case of this; the tests assert they produce identical
+// verdicts and statistics.
 #pragma once
 
 #include <cstdint>
@@ -81,21 +85,30 @@ class OnlineAnalyzer final : public trace::MessageSink {
 
   [[nodiscard]] const LatticeStats& stats() const noexcept { return stats_; }
 
-  /// Messages buffered but not yet consumed into the lattice.
+  /// Messages received but not yet folded into the frontier: the sum over
+  /// threads j of (messages of j received - consumedK()[j]).
   [[nodiscard]] std::size_t pendingMessages() const noexcept {
     return pending_;
   }
 
-  /// Per-thread consumption watermark: consumedK()[j] is the highest local
-  /// sequence number of thread j folded into the current frontier.  A
-  /// frame whose per-thread max indices are all <= this vector has been
-  /// fully analyzed — the daemon's emit-to-analyze lag is measured against
-  /// it.  Size == declared thread count; all zeros before level 1.
+  /// Messages held in memory: the pending ones plus the consumed ones the
+  /// frontier can still reach (thread j's messages from the minimum
+  /// frontier index of j upward).  Bounded by the live window, not by the
+  /// length of the trace.
+  [[nodiscard]] std::size_t bufferedMessages() const noexcept;
+
+  /// Per-thread consumption watermark: consumedK()[j] is the largest local
+  /// sequence number of thread j over the current frontier cuts (messages
+  /// 1..consumedK()[j] of thread j have all been folded into some frontier
+  /// cut).  A frame whose per-thread max indices are all <= this vector
+  /// has been fully analyzed — the daemon's emit-to-analyze lag is
+  /// measured against it.  Size == declared thread count; all zeros
+  /// before level 1.  Budget shedding can move an entry backwards.
   [[nodiscard]] const std::vector<LocalSeq>& consumedK() const noexcept {
     return consumedK_;
   }
 
-  /// Serializes the complete analyzer state — buffered messages, both
+  /// Serializes the complete analyzer state — the buffered live window, both
   /// intern arenas, the live frontier (with its witness-path DAG), stats
   /// and violations — so an identically-constructed analyzer can restore()
   /// and continue to a byte-identical report.  Plugin state is NOT
@@ -106,7 +119,10 @@ class OnlineAnalyzer final : public trace::MessageSink {
 
   /// Inverse of checkpoint() on a freshly constructed analyzer with the
   /// same (space, threads, monitor/bus, options).  Rebuilds pointer
-  /// identity by re-interning arena contents in deterministic order.
+  /// identity by re-interning arena contents in deterministic order.  A
+  /// blob whose message section still holds consumed messages (written
+  /// before they were released) restores to the same state; those
+  /// messages are freed.
   /// Returns false on any version/bounds/decode mismatch — the input is an
   /// untrusted snapshot file, and a failed restore leaves the analyzer
   /// unusable (discard it).
@@ -121,6 +137,9 @@ class OnlineAnalyzer final : public trace::MessageSink {
   void tryAdvance();
   [[nodiscard]] bool canExpand() const;
   void expandOneLevel();
+  /// Updates consumedK_/pending_ for the new frontier and frees every
+  /// message below its per-thread minimum index.
+  void settleFrontier();
   [[nodiscard]] bool enabled(const Cut& cut, ThreadId j,
                              const trace::Message& m) const;
   /// Max globalSeq over the cut's per-thread last events — the budget
@@ -138,10 +157,19 @@ class OnlineAnalyzer final : public trace::MessageSink {
   LatticeOptions opts_;
   StateArena states_;
   MonitorSetArena msets_;
-  /// buffered_[j][k] = thread j's k-th message (sparse until gaps fill).
+  /// buffered_[j][k] = thread j's k-th message, for k >= minK_[j] (sparse
+  /// until gaps fill).  Lower indices are freed: every frontier cut has
+  /// k_j >= minK_[j], expansion reads only index k_j + 1, and the budget's
+  /// observed-path key reads index k_j.
   std::vector<std::unordered_map<LocalSeq, trace::Message>> buffered_;
+  /// prefix_[j] = largest m such that thread j's messages 1..m have all
+  /// arrived.  A message with index <= prefix_[j] is a duplicate.
+  std::vector<LocalSeq> prefix_;
   /// Per-thread max frontier index (see consumedK()).
   std::vector<LocalSeq> consumedK_;
+  /// Per-thread min frontier index: the release floor.  Never decreases,
+  /// because each level's cuts are successors of the previous level's.
+  std::vector<LocalSeq> minK_;
   std::size_t pending_ = 0;
   bool ended_ = false;
   bool finished_ = false;

@@ -88,7 +88,7 @@ void ThreadPool::parallelFor(std::size_t n, const ChunkFn& body) {
   }
 
   struct LoopState {
-    std::atomic<std::size_t> remaining;
+    std::size_t remaining = 0;  // guarded by mu
     std::atomic<std::uint64_t> busyNs{0};
     std::mutex mu;
     std::condition_variable done;
@@ -102,7 +102,7 @@ void ThreadPool::parallelFor(std::size_t n, const ChunkFn& body) {
   for (std::size_t c = 0; c < chunks; ++c) {
     if (auto [begin, end] = chunkRange(n, chunks, c); begin < end) ++live;
   }
-  state.remaining.store(live, std::memory_order_relaxed);
+  state.remaining = live;
 
   const auto wallStart = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < chunks; ++c) {
@@ -122,27 +122,21 @@ void ThreadPool::parallelFor(std::size_t n, const ChunkFn& body) {
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                   .count()),
           std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lk(state.mu);
-        if (err && c < state.firstFailure) {
-          state.firstFailure = c;
-          state.error = err;
-        }
+      // Decrement and notify under the lock: the waiter owns `state` on
+      // its stack and returns as soon as it sees zero, so no worker may
+      // touch `state` after releasing the lock with the count at zero.
+      std::lock_guard<std::mutex> lk(state.mu);
+      if (err && c < state.firstFailure) {
+        state.firstFailure = c;
+        state.error = err;
       }
-      if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Notify under the lock so the waiter cannot miss the wakeup
-        // between its predicate check and its wait.
-        std::lock_guard<std::mutex> lk(state.mu);
-        state.done.notify_one();
-      }
+      if (--state.remaining == 0) state.done.notify_one();
     });
   }
 
   {
     std::unique_lock<std::mutex> lk(state.mu);
-    state.done.wait(lk, [&state] {
-      return state.remaining.load(std::memory_order_acquire) == 0;
-    });
+    state.done.wait(lk, [&state] { return state.remaining == 0; });
   }
 
   if constexpr (telemetry::kEnabled) {

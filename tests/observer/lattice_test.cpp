@@ -274,5 +274,22 @@ TEST(Cut, LevelAndAdvance) {
   EXPECT_NE(c.hash(), d.hash());
 }
 
+TEST(Lattice, LongWitnessChainReleasesIteratively) {
+  // A witness path has one node per level, so a long stream builds a long
+  // chain.  Released with one nested destructor call per node, a chain of
+  // 10^6 nodes overflows a default 8 MiB stack.
+  constexpr std::size_t kLevels = 1000000;
+  PathPtr path;
+  for (std::size_t i = 1; i <= kLevels; ++i) {
+    path = std::make_shared<const PathNode>(
+        EventRef{static_cast<ThreadId>(i % 2), i}, path);
+  }
+  const PathPtr shared = path->parent;  // a suffix another path still uses
+  EXPECT_EQ(unwindPath(path).size(), kLevels);
+  path.reset();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(unwindPath(shared).size(), kLevels - 1);
+}
+
 }  // namespace
 }  // namespace mpx::observer

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <tuple>
 
 #include "../support/fixtures.hpp"
 #include "logic/monitor.hpp"
 #include "logic/parser.hpp"
+#include "observer/checkpoint.hpp"
 #include "program/corpus.hpp"
+#include "trace/codec.hpp"
 
 namespace mpx::observer {
 namespace {
@@ -200,6 +204,256 @@ TEST(OnlineAnalyzer, RandomProgramsMatchBatch) {
     EXPECT_EQ(online.stats().pathCount, batch.stats().pathCount);
     EXPECT_EQ(online.violations().empty(), batchViolations.empty());
   }
+}
+
+// --- the live window: release of consumed messages -----------------------
+
+/// A synthetic 2-thread stream: the threads alternately write x (values
+/// cycle through 0..6), and every `syncEvery`-th write of each thread also
+/// learns the other thread's progress.  syncEvery == 1 is a chain (one
+/// cut per level); larger values leave runs of concurrent writes between
+/// the synchronization points.
+struct Stream {
+  trace::VarTable vars;
+  StateSpace space;
+  std::vector<trace::Message> msgs;
+};
+
+Stream twoThreadStream(std::size_t n, std::size_t syncEvery) {
+  Stream s;
+  const VarId x = s.vars.intern("x", 0);
+  s.space = StateSpace::byNames(s.vars, {"x"});
+  std::vector<vc::VectorClock> clocks(2, vc::VectorClock(2));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto t = static_cast<ThreadId>(i % 2);
+    const ThreadId other = 1 - t;
+    vc::VectorClock& c = clocks[t];
+    c.set(t, c[t] + 1);
+    if ((i / 2) % syncEvery == 0) c.set(other, clocks[other][other]);
+    trace::Message m;
+    m.event.kind = trace::EventKind::kWrite;
+    m.event.thread = t;
+    m.event.var = x;
+    m.event.value = static_cast<Value>(i % 7);
+    m.event.localSeq = c[t];
+    m.event.globalSeq = i + 1;
+    m.clock = c;
+    s.msgs.push_back(m);
+  }
+  return s;
+}
+
+/// The full analyzer state as bytes: equal blobs mean equal frontier,
+/// arenas, stats, violations and buffered window.
+std::vector<std::uint8_t> blobOf(const OnlineAnalyzer& a) {
+  ckpt::Writer w;
+  a.checkpoint(w);
+  return w.take();
+}
+
+TEST(OnlineWindow, ChainBufferStaysBounded) {
+  const Stream s = twoThreadStream(100000, 1);
+  logic::SynthesizedMonitor mon(logic::SpecParser(s.space).parse("x >= 0"));
+  OnlineAnalyzer online(s.space, 2, &mon);
+  std::size_t peak = 0;
+  for (const auto& m : s.msgs) {
+    online.onMessage(m);
+    peak = std::max(peak, online.bufferedMessages());
+  }
+  online.endOfTrace();
+  ASSERT_TRUE(online.finished());
+  EXPECT_EQ(online.levelsCompleted(), s.msgs.size() + 1);
+  EXPECT_EQ(online.pendingMessages(), 0u);
+  // One message per thread for the frontier cut, plus the one that waits
+  // for the other thread's next message.
+  EXPECT_LE(peak, 4u);
+  EXPECT_LE(online.bufferedMessages(), 2u);
+}
+
+TEST(OnlineWindow, DuplicateOfFreedMessageRejected) {
+  const Stream s = twoThreadStream(100, 1);
+  OnlineAnalyzer online(s.space, 2, nullptr);
+  for (const auto& m : s.msgs) online.onMessage(m);
+  ASSERT_LT(online.bufferedMessages(), 10u);  // the early ones are freed
+  const std::size_t pending = online.pendingMessages();
+  EXPECT_THROW(online.onMessage(s.msgs[0]), std::runtime_error);
+  EXPECT_THROW(online.onMessage(s.msgs[41]), std::runtime_error);
+  EXPECT_THROW(online.onMessage(s.msgs.back()), std::runtime_error);
+  EXPECT_EQ(online.pendingMessages(), pending);
+  online.endOfTrace();
+  EXPECT_TRUE(online.finished());
+}
+
+TEST(OnlineWindow, GapStillRejectedAtEndOfTrace) {
+  const Stream s = twoThreadStream(100, 1);
+  OnlineAnalyzer online(s.space, 2, nullptr);
+  for (std::size_t i = 0; i < s.msgs.size(); ++i) {
+    if (i != 50) online.onMessage(s.msgs[i]);
+  }
+  // The chain cannot pass the missing message: levels stop before it.
+  EXPECT_LE(online.levelsCompleted(), 51u);
+  EXPECT_EQ(online.pendingMessages(), s.msgs.size() - 1 -
+                                          (online.levelsCompleted() - 1));
+  EXPECT_THROW(online.endOfTrace(), std::runtime_error);
+  EXPECT_FALSE(online.finished());
+}
+
+TEST(OnlineWindow, ReversedWindowsMatchInOrderArrival) {
+  const Stream s = twoThreadStream(2000, 4);
+  std::vector<trace::Message> reversed = s.msgs;
+  for (std::size_t b = 0; b < reversed.size(); b += 64) {
+    const auto end = reversed.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         std::min(b + 64, reversed.size()));
+    std::reverse(reversed.begin() + static_cast<std::ptrdiff_t>(b), end);
+  }
+  LatticeOptions full;
+  full.maxViolations = 1u << 20;
+  LatticeOptions shed = full;  // the ladder sheds cuts on most levels
+  shed.maxFrontier = 2;
+  for (const LatticeOptions& opts : {full, shed}) {
+    const auto run = [&](const std::vector<trace::Message>& order) {
+      logic::SynthesizedMonitor mon(
+          logic::SpecParser(s.space).parse("x <= 5"));
+      OnlineAnalyzer online(s.space, 2, &mon, opts);
+      std::size_t peak = 0;
+      for (const auto& m : order) {
+        online.onMessage(m);
+        peak = std::max(peak, online.bufferedMessages());
+      }
+      online.endOfTrace();
+      EXPECT_TRUE(online.finished());
+      EXPECT_LE(peak, 64u + 16u);  // the reversal window plus the frontier
+      EXPECT_EQ(online.stats().droppedNodes > 0, opts.maxFrontier != 0);
+      return std::make_tuple(online.stats().totalNodes,
+                             online.violations().size(), blobOf(online));
+    };
+    const auto [nodes, violations, blob] = run(s.msgs);
+    const auto [nodesR, violationsR, blobR] = run(reversed);
+    EXPECT_GT(nodes, s.msgs.size() + 1);  // the stream is not a chain
+    EXPECT_GT(violations, 0u);
+    EXPECT_EQ(nodesR, nodes);
+    EXPECT_EQ(violationsR, violations);
+    EXPECT_EQ(blobR, blob) << "maxFrontier " << opts.maxFrontier;
+  }
+}
+
+TEST(OnlineWindow, CheckpointHoldsOnlyTheLiveWindow) {
+  // Witness paths grow with the run by design; without them the blob is
+  // the window alone.
+  LatticeOptions opts;
+  opts.recordPaths = false;
+  const Stream s = twoThreadStream(10000, 1);
+  const auto blobAfter = [&](std::size_t n) {
+    logic::SynthesizedMonitor mon(logic::SpecParser(s.space).parse("x >= 0"));
+    OnlineAnalyzer online(s.space, 2, &mon, opts);
+    for (std::size_t i = 0; i < n; ++i) online.onMessage(s.msgs[i]);
+    return blobOf(online).size();
+  };
+  EXPECT_LE(blobAfter(10000), blobAfter(1000));
+}
+
+TEST(OnlineWindow, RestoreMidStreamFinishesIdentically) {
+  const Stream s = twoThreadStream(10000, 3);
+  const std::string spec = "x <= 5";
+  logic::SynthesizedMonitor refMon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer ref(s.space, 2, &refMon);
+  for (const auto& m : s.msgs) ref.onMessage(m);
+  ref.endOfTrace();
+  ASSERT_TRUE(ref.finished());
+
+  const std::size_t half = s.msgs.size() / 2;
+  logic::SynthesizedMonitor liveMon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer live(s.space, 2, &liveMon);
+  for (std::size_t i = 0; i < half; ++i) live.onMessage(s.msgs[i]);
+  const std::vector<std::uint8_t> blob = blobOf(live);
+
+  logic::SynthesizedMonitor mon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer restored(s.space, 2, &mon);
+  ckpt::Reader r(blob);
+  ASSERT_TRUE(restored.restore(r));
+  EXPECT_EQ(restored.pendingMessages(), live.pendingMessages());
+  EXPECT_EQ(restored.bufferedMessages(), live.bufferedMessages());
+  EXPECT_EQ(restored.consumedK(), live.consumedK());
+  EXPECT_THROW(restored.onMessage(s.msgs[half / 2]), std::runtime_error);
+  for (std::size_t i = half; i < s.msgs.size(); ++i) {
+    restored.onMessage(s.msgs[i]);
+  }
+  restored.endOfTrace();
+  ASSERT_TRUE(restored.finished());
+  EXPECT_EQ(restored.violations().size(), ref.violations().size());
+  EXPECT_EQ(blobOf(restored), blobOf(ref));
+}
+
+TEST(OnlineWindow, BlobCarryingConsumedMessagesRestores) {
+  // Analyzers that kept every message wrote blobs with the same layout
+  // but a message section holding all arrived messages.  Build one by
+  // splicing the consumed messages back into a current blob.
+  const Stream s = twoThreadStream(3000, 3);
+  const std::string spec = "x <= 5";
+  logic::SynthesizedMonitor refMon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer ref(s.space, 2, &refMon);
+  for (const auto& m : s.msgs) ref.onMessage(m);
+  ref.endOfTrace();
+
+  const std::size_t half = s.msgs.size() / 2;
+  logic::SynthesizedMonitor liveMon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer live(s.space, 2, &liveMon);
+  for (std::size_t i = 0; i < half; ++i) live.onMessage(s.msgs[i]);
+  const std::vector<std::uint8_t> blob = blobOf(live);
+
+  ckpt::Reader r(blob);
+  ckpt::Writer w;
+  w.u8(r.u8());  // layout version
+  const std::uint64_t threads = r.u64();
+  w.u64(threads);
+  w.boolean(r.boolean());  // ended
+  w.boolean(r.boolean());  // finished
+  w.u64(r.u64());          // pending
+  for (std::uint64_t j = 0; j < threads; ++j) w.u64(r.u64());  // consumedK
+  std::vector<std::map<LocalSeq, trace::Message>> all(threads);
+  for (std::size_t i = 0; i < half; ++i) {
+    const ThreadId t = s.msgs[i].event.thread;
+    all[t].emplace(s.msgs[i].clock[t], s.msgs[i]);
+  }
+  std::size_t liveWindow = 0;
+  for (std::uint64_t j = 0; j < threads; ++j) {
+    const std::uint64_t count = r.u64();
+    liveWindow += count;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      (void)r.u64();
+      std::vector<std::uint8_t> skip(r.u64());
+      ASSERT_TRUE(r.raw(skip.data(), skip.size()));
+    }
+    w.u64(all[j].size());
+    for (const auto& [k, m] : all[j]) {
+      std::vector<std::uint8_t> enc;
+      trace::BinaryCodec::encode(m, enc);
+      w.u64(k);
+      w.u64(enc.size());
+      w.bytes(enc.data(), enc.size());
+    }
+  }
+  ASSERT_TRUE(r.ok());
+  const std::size_t tail = r.remaining();
+  w.bytes(blob.data() + blob.size() - tail, tail);
+  const std::vector<std::uint8_t> legacy = w.take();
+  ASSERT_GT(legacy.size(), blob.size());
+  ASSERT_LT(liveWindow, half);
+
+  logic::SynthesizedMonitor mon(logic::SpecParser(s.space).parse(spec));
+  OnlineAnalyzer restored(s.space, 2, &mon);
+  ckpt::Reader lr(legacy);
+  ASSERT_TRUE(restored.restore(lr));
+  EXPECT_EQ(restored.pendingMessages(), live.pendingMessages());
+  EXPECT_EQ(restored.bufferedMessages(), live.bufferedMessages());
+  EXPECT_EQ(blobOf(restored), blob);
+  for (std::size_t i = half; i < s.msgs.size(); ++i) {
+    restored.onMessage(s.msgs[i]);
+  }
+  restored.endOfTrace();
+  ASSERT_TRUE(restored.finished());
+  EXPECT_EQ(blobOf(restored), blobOf(ref));
 }
 
 }  // namespace

@@ -73,6 +73,24 @@ TEST(ThreadPool, ParallelForIsABarrier) {
   EXPECT_EQ(done.load(), 100);
 }
 
+TEST(ThreadPool, ManyTinyLoopsNeverOutliveTheirState) {
+  // parallelFor keeps its completion state on the caller's stack.  The
+  // last worker must be done with it before the caller can return, or a
+  // later loop reuses the stack slot while a worker still locks the old
+  // mutex (a hang, or a stack-use-after-return under ASan).  Many short
+  // loops back to back hit that window: ThreadSanitizer reports a worker
+  // touching destroyed state on nearly every run of this test.
+  ThreadPool pool(4);
+  constexpr std::size_t kLoops = 100000;
+  std::atomic<std::size_t> items{0};
+  for (std::size_t loop = 0; loop < kLoops; ++loop) {
+    pool.parallelFor(4, [&](std::size_t b, std::size_t e, std::size_t) {
+      items.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(items.load(), 4 * kLoops);
+}
+
 TEST(ThreadPool, LowestChunkIndexExceptionWins) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
