@@ -6,16 +6,15 @@
 // that analyzer needed from the daemon: the handshake-derived
 // configuration (threads, specs, tracked variables, VarTable), the
 // StateSpace, one SpecAnalysis plugin per property on one AnalysisBus, the
-// OnlineAnalyzer with its private StateArena/MonitorSetArena and budget,
+// OnlineAnalyzer with its private frontier, MonitorSetArena and budget,
 // the at-least-once dedup bitmaps, and the stream-completion bookkeeping.
 // The daemon routes each handshake to its session by (tenant, trace id)
 // and otherwise stays a transport.
 //
 // Sessions are checkpointable: checkpoint() emits one self-contained blob
 // (config included, so restore needs no side channel), and restore()
-// rebuilds the whole stack — re-interning arena contents in deterministic
-// order so a restored session's final report is byte-identical to an
-// uninterrupted run's.
+// rebuilds the whole stack from it in deterministic order, so a restored
+// session's final report is byte-identical to an uninterrupted run's.
 //
 // Thread safety: none.  The daemon serializes access under its own mutex,
 // exactly as it did for the single analyzer.

@@ -161,7 +161,7 @@ void AnalysisBus::dispatchLevel(const detail::Frontier& frontier,
     std::vector<MonitorState> ms;
     ms.reserve(node.mstates.size());
     for (const auto& [m, witness] : node.mstates) ms.push_back(m);
-    views[i] = NodeView{&cut, node.state, node.pathCount, level,
+    views[i] = NodeView{&cut, &node.state, node.pathCount, level,
                         msets.intern(std::move(ms))};
   }
 

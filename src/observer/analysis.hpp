@@ -43,12 +43,13 @@
 
 namespace mpx::observer {
 
-/// One completed lattice node as shown to plugins.  `state` and
-/// `monitorStates` are interned: pointer equality is value equality, and a
-/// plugin may key caches on the pointers.
+/// One completed lattice node as shown to plugins.  `state` points at the
+/// node's own state and is valid only during the dispatch.  `monitorStates`
+/// is interned: pointer equality is value equality, and a plugin may key
+/// caches on that pointer.
 struct NodeView {
   const Cut* cut = nullptr;
-  const GlobalState* state = nullptr;  ///< interned (StateArena)
+  const GlobalState* state = nullptr;  ///< the node's own global state
   std::uint64_t pathCount = 0;
   std::uint64_t level = 0;
   /// Interned sorted set of monitor-bus states reachable at this node

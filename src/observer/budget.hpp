@@ -5,9 +5,12 @@
 // wide (or hostile) trace could OOM the observer.  This module makes that
 // pressure a first-class, explicitly-reported bound instead of a crash:
 //
-//   accounted = arena bytes (StateArena + MonitorSetArena)
+//   accounted = MonitorSetArena bytes
 //             + bytes of the previous (still live) frontier
 //             + bytes of the freshly expanded frontier
+//
+// Each frontier node owns its global state, so the frontier bytes include
+// the states; nothing else grows with the length of the trace.
 //
 // under a DETERMINISTIC byte model: every container node is charged a
 // fixed, documented cost plus its payload (see the k*Bytes constants and
@@ -53,9 +56,9 @@
 namespace mpx::observer::detail {
 
 /// Byte model of one live frontier entry: unordered_map node + FrontierNode
-/// payload (pointer, path count, map header, witness pointer) + its share
-/// of the bucket array.
-inline constexpr std::uint64_t kFrontierNodeBytes = 96;
+/// payload (state vector header, path count, map header, witness pointer)
+/// + its share of the bucket array.
+inline constexpr std::uint64_t kFrontierNodeBytes = 112;
 /// Per-component cost of the cut key stored in the node.
 inline constexpr std::uint64_t kCutComponentBytes = sizeof(std::uint32_t);
 /// One (MonitorState, witness) entry of a node's mstates map (rb-tree node
@@ -72,6 +75,7 @@ inline std::uint64_t frontierNodeBytes(const Cut& cut, const FrontierNode& node,
   const std::uint64_t perEntry =
       kMonitorEntryBytes + (recordPaths ? kPathNodeBytes : 0);
   return kFrontierNodeBytes + cut.k.size() * kCutComponentBytes +
+         node.state.values.size() * sizeof(Value) +
          node.mstates.size() * perEntry;
 }
 
@@ -99,7 +103,7 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 /// Applies the degradation ladder to a freshly expanded frontier.
 ///
 /// `level` is the 1-based index of the level `frontier` sits at;
-/// `arenaBytesNow` = StateArena::bytes() + MonitorSetArena::bytes();
+/// `arenaBytesNow` = MonitorSetArena::bytes();
 /// `carryBytes` = accounted bytes of the previous frontier (still live
 /// while this one was expanded); `observedKey(cut)` must return the
 /// maximum globalSeq over the cut's per-thread last events (0 for the zero
@@ -199,7 +203,7 @@ void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
 
     if (dropped > 0) {
       // Degradation bookkeeping reflects RUN SHEDDING only: a frontier that
-      // fits under every cap stays SOUND even when the arenas alone push
+      // fits under every cap stays SOUND even when the arena alone pushes
       // the accounted total over budget (nothing more could be shed).
       const DegradationMode rung = frontier.size() <= 1
                                        ? DegradationMode::kObservedOnly

@@ -1,170 +1,40 @@
-// Hash-consing arenas for the lattice engine.
+// Hash-consing arena for the per-node monitor-state sets handed to
+// analysis plugins (NodeView::monitorStates).  Identical sets are extremely
+// common — neighbouring cuts usually carry the same reachable-monitor-state
+// set — so each distinct set is stored once and a plugin may key caches on
+// the pointer.  Global states are NOT interned: each frontier node owns its
+// state (lattice_types.hpp), because almost every cut of a wide lattice
+// carries a valuation no other cut has.
 //
-// The computation lattice visits far more cuts than distinct global states
-// ("a state is a map assigning values to variables", paper §1 — many runs
-// pass through the same valuation).  StateArena deduplicates GlobalStates so
-// every frontier node holds a pointer into the arena: node state equality is
-// pointer equality, and the two-consecutive-levels working set stores each
-// distinct valuation once instead of once per cut.
-//
-// Invariants the engine relies on (documented in DESIGN.md §"Analysis
-// plugin interface"):
+// Invariants (DESIGN.md §5b):
 //   * An interned pointer stays valid for the arena's lifetime (node-based
-//     std::unordered_set storage; no rehash ever moves elements).  The
-//     arena outlives every frontier built from it — one arena per
-//     ComputationLattice run / OnlineAnalyzer instance.
-//   * intern() is thread-safe (striped mutexes): the parallel expansion
-//     path interns from pool workers.  Hit/miss totals are deterministic
-//     regardless of jobs: misses == number of distinct states, and the
-//     number of intern() calls is a pure function of the lattice.
-//   * The arena only ever grows within a run.  Distinct states are bounded
-//     by the product of per-variable value ranges actually written — in
-//     practice orders of magnitude below the cut count.
-//
-// MonitorSetArena plays the same trick for the per-node *sets* of monitor
-// states handed to analysis plugins: identical sets (extremely common —
-// neighbouring cuts usually carry the same reachable-monitor-state set)
-// are stored once.
+//     std::unordered_set storage; no rehash ever moves elements).  One
+//     arena per ComputationLattice run / OnlineAnalyzer instance.
+//   * Single-threaded: sets are interned on the orchestrator thread when a
+//     level completes, so hit/miss totals are the same for any jobs count.
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_set>
 #include <vector>
 
-#include "observer/global_state.hpp"
-
 namespace mpx::observer {
 
-/// Monotonic hit/miss tally of one arena (relaxed atomics; exact totals
-/// are only read after the run quiesces).
+/// Monotonic hit/miss tally of one arena.
 struct InternStats {
   std::uint64_t hits = 0;    ///< intern() found the value already present
   std::uint64_t misses = 0;  ///< intern() inserted a new value
   std::size_t size = 0;      ///< distinct values resident
-
-  [[nodiscard]] double hitRate() const noexcept {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
 };
 
 /// Accounted bytes per resident hash-table node beyond its payload: the
 /// element itself plus its share of bucket array and chaining pointers.
 /// Part of the deterministic byte MODEL of DESIGN.md §5c — a platform-
-/// stable estimate the budget enforcer charges, not malloc truth.  Both
-/// arenas and the frontier accounting (budget.hpp) charge through it, so
-/// accounted totals are identical across jobs counts and platforms.
+/// stable estimate the budget enforcer charges, not malloc truth.  The
+/// arena charges through it, so accounted totals are identical across jobs
+/// counts and platforms.
 inline constexpr std::uint64_t kInternNodeBytes = 64;
-
-/// Thread-safe hash-consing arena for GlobalState.
-class StateArena {
- public:
-  StateArena() = default;
-  StateArena(const StateArena&) = delete;
-  StateArena& operator=(const StateArena&) = delete;
-
-  /// Returns the canonical pointer for `s`; inserts if unseen.  Two equal
-  /// states always intern to the same pointer.
-  const GlobalState* intern(GlobalState&& s) {
-    const std::size_t h = s.hash();
-    // Accounted bytes are a pure function of the inserted value, so the
-    // total is deterministic: misses == distinct states for any jobs count.
-    const std::uint64_t cost = kInternNodeBytes + sizeof(GlobalState) +
-                               s.values.size() * sizeof(Value);
-    Stripe& stripe = stripes_[h & (kStripes - 1)];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto [it, inserted] = stripe.set.insert(std::move(s));
-    if (inserted) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      bytes_.fetch_add(cost, std::memory_order_relaxed);
-    } else {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return &*it;
-  }
-
-  const GlobalState* intern(const GlobalState& s) {
-    return intern(GlobalState(s));
-  }
-
-  /// Counts a dedup that short-circuited the table (an edge that left the
-  /// state unchanged reuses the parent's pointer without a lookup).
-  void noteReuse() { hits_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// Accounted bytes of every resident state under the byte model.
-  /// Monotonic within a run (the arena only grows); exact for any jobs
-  /// count because each distinct state is charged exactly once.
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] InternStats stats() const {
-    InternStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    for (const Stripe& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      s.size += stripe.set.size();
-    }
-    return s;
-  }
-
-  // ---- Checkpoint support (observer/checkpoint.hpp) -------------------
-  // misses_ and bytes_ are pure functions of the distinct values resident,
-  // so restore == clear() + re-intern every snapshotted value (rebuilding
-  // misses/bytes exactly) + addHits() to top the hit tally back up.  The
-  // re-intern order is the snapshot's deterministic sort, which also makes
-  // a restored arena's pointer assignment reproducible for the frontier.
-
-  /// Every resident state, sorted by value (deterministic across runs and
-  /// jobs counts).  Quiesced callers only — takes every stripe lock.
-  [[nodiscard]] std::vector<const GlobalState*> snapshotSorted() const {
-    std::vector<const GlobalState*> out;
-    for (const Stripe& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      for (const GlobalState& s : stripe.set) out.push_back(&s);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const GlobalState* a, const GlobalState* b) {
-                return a->values < b->values;
-              });
-    return out;
-  }
-
-  /// Drops every resident state and zeroes the tallies.  Only valid when
-  /// nothing points into the arena anymore (restore rebuilds the frontier
-  /// afterwards).
-  void clear() {
-    for (Stripe& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      stripe.set.clear();
-    }
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    bytes_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Restores a checkpointed hit tally after re-interning (re-interning
-  /// distinct values produces only misses).
-  void addHits(std::uint64_t n) {
-    hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::size_t kStripes = 16;  // power of two
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_set<GlobalState, GlobalStateHash> set;
-  };
-  std::array<Stripe, kStripes> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-};
 
 /// Hash-consing arena for sorted monitor-state sets (single-threaded: the
 /// engine interns sets on the orchestrator thread when a level completes).
@@ -197,8 +67,8 @@ class MonitorSetArena {
   /// Accounted bytes of every resident set under the byte model.
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
-  /// Every resident set, sorted lexicographically (checkpoint support —
-  /// same contract as StateArena::snapshotSorted).
+  /// Every resident set, sorted lexicographically (deterministic across
+  /// runs and jobs counts; checkpoint support).
   [[nodiscard]] std::vector<const std::vector<std::uint64_t>*> snapshotSorted()
       const {
     std::vector<const std::vector<std::uint64_t>*> out;

@@ -120,7 +120,6 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
                                             AnalysisBus* bus) {
   stats_ = LatticeStats{};
   retained_.clear();
-  states_ = std::make_unique<StateArena>();
   msets_ = std::make_unique<MonitorSetArena>();
   parallel::ThreadPool* pool = poolForRun();
 
@@ -131,13 +130,13 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
   // Level 0: the initial cut and the initial global state.
   detail::Frontier frontier;
   detail::FrontierNode init;
-  init.state = states_->intern(GlobalState(space_.initialValues()));
+  init.state = GlobalState(space_.initialValues());
   init.pathCount = 1;
   if (mon != nullptr) {
-    const MonitorState m0 = mon->initial(*init.state);
+    const MonitorState m0 = mon->initial(init.state);
     init.mstates.emplace(m0, nullptr);
     if (mon->isViolating(m0)) {
-      detail::emitViolation(violations, bus, opts_, Cut(n), *init.state, m0,
+      detail::emitViolation(violations, bus, opts_, Cut(n), init.state, m0,
                             nullptr);
     }
   }
@@ -150,7 +149,7 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
   stats_.monitorStatesPeak = mon != nullptr ? 1 : 0;
   // Accounted bytes of the live working set (budget.hpp byte model).
   std::uint64_t carryBytes = detail::frontierBytes(frontier, opts_.recordPaths);
-  stats_.accountedBytes = states_->bytes() + msets_->bytes() + carryBytes;
+  stats_.accountedBytes = msets_->bytes() + carryBytes;
   stats_.peakAccountedBytes = stats_.accountedBytes;
   retainLevel(0, frontier);
   if (bus != nullptr) {
@@ -168,8 +167,9 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
     telemetry::ScopedTimer levelTimer(ObserverMetrics::get().levelNs);
     std::size_t edges = 0;
     detail::Frontier next_ = detail::expandLevel(
-        frontier, n, space_, mon, opts_, stats_, violations, bus, *states_,
-        pool, edges, next);
+        frontier, n, space_, mon, opts_, stats_, violations, bus, pool, edges,
+        next);
+    const std::size_t built = next_.size();
 
     if (next_.empty()) {
       // Should not happen for a consistent finalized graph, but guard.
@@ -199,7 +199,7 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
     // Degradation ladder: shed nodes (deterministically) when the level
     // pushes the accounted working set over the budget or the frontier cap.
     detail::enforceBudget(next_, opts_, stats_, level + 1,
-                          states_->bytes() + msets_->bytes(), carryBytes,
+                          msets_->bytes(), carryBytes,
                           [this](const Cut& cut) {
                             return observedPathKey(cut);
                           });
@@ -208,7 +208,7 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
       break;
     }
 
-    stats_.totalEdges += edges;
+    detail::recordLevelEdges(stats_, edges, built);
     stats_.totalNodes += next_.size();
     stats_.peakLevelWidth = std::max(stats_.peakLevelWidth, next_.size());
     stats_.peakLiveNodes =
@@ -241,7 +241,7 @@ const LatticeStats& ComputationLattice::run(LatticeMonitor* mon,
   if (frontier.size() == 1) {
     stats_.pathCount = frontier.begin()->second.pathCount;
   }
-  detail::recordInternStats(stats_, *states_, *msets_);
+  detail::recordInternStats(stats_, *msets_);
   return stats_;
 }
 
@@ -253,7 +253,7 @@ void ComputationLattice::retainLevel(std::uint64_t level,
   for (const auto& [cut, node] : frontier) {
     LevelNode ln;
     ln.cut = cut;
-    ln.state = *node.state;
+    ln.state = node.state;
     ln.pathCount = node.pathCount;
     for (const auto& [ms, witness] : node.mstates) {
       ln.monitorStates.push_back(ms);

@@ -94,9 +94,8 @@ class ComputationLattice {
   /// Lazily created when opts_.parallel asks for jobs > 1 and no external
   /// pool was injected; reused across build()/check() calls.
   std::unique_ptr<parallel::ThreadPool> ownedPool_;
-  /// Hash-consing arenas, recreated per run (frontier nodes point into
-  /// them; see intern.hpp for the lifetime invariant).
-  std::unique_ptr<StateArena> states_;
+  /// Monitor-set arena, recreated per run (dispatched NodeViews point into
+  /// it; see intern.hpp for the lifetime invariant).
   std::unique_ptr<MonitorSetArena> msets_;
 };
 

@@ -176,8 +176,9 @@ struct LatticeOptions {
   /// retained levels are identical to the serial path; only the ORDER in
   /// which violations are appended may differ (see level_expand.hpp).
   parallel::ParallelConfig parallel;
-  /// Byte budget for the accounted working set (arenas + the two live
-  /// frontiers, under the deterministic byte model of budget.hpp).  When a
+  /// Byte budget for the accounted working set (monitor-set arena + the
+  /// two live frontiers with their states, under the deterministic byte
+  /// model of budget.hpp).  When a
   /// freshly expanded level would push the accounted total past the
   /// budget, the degradation ladder sheds frontier nodes until the
   /// retained set fits (floor: the observed-execution cut).  0 = unlimited.
@@ -210,13 +211,11 @@ struct LatticeStats {
   std::size_t beamPrunedNodes = 0;  ///< cuts dropped by the beam approximation
   bool approximated = false;        ///< beam pruning occurred: absence of
                                     ///< violations is best-effort only
-  // Hash-consing effectiveness (see intern.hpp).  Deterministic across
-  // jobs counts: misses == distinct states, and the number of intern
-  // lookups is a pure function of the lattice.
-  std::uint64_t internHits = 0;    ///< state lookups that found a resident
-                                   ///< state (incl. unchanged-value reuse)
-  std::uint64_t internMisses = 0;  ///< state lookups that inserted
-  std::size_t internedStates = 0;  ///< distinct GlobalStates resident
+  // How often an edge reached a cut that was already built.  Counted per
+  // level after the merge, so both are pure functions of the lattice (any
+  // jobs count, batch or online): internHits + internMisses == totalEdges.
+  std::uint64_t internHits = 0;    ///< edges into an already-built cut
+  std::uint64_t internMisses = 0;  ///< cuts built (states constructed)
   std::uint64_t msetInternHits = 0;    ///< monitor-state-set lookups deduped
   std::uint64_t msetInternMisses = 0;  ///< monitor-state-set inserts
   // Budget accounting + degradation ladder (budget.hpp, DESIGN.md §5c).
@@ -247,12 +246,11 @@ struct LevelNode {
 
 namespace detail {
 
-/// One lattice node while its level is live.  `state` is interned in the
-/// engine's StateArena (hash-consed: equal states share one pointer, so
-/// node-state equality is pointer equality and the two-level sliding
-/// window stores each distinct valuation once).
+/// One lattice node while its level is live.  The node owns its global
+/// state: every path into a cut yields the same valuation, so the state is
+/// built once, when the cut is first reached, and dies with its level.
 struct FrontierNode {
-  const GlobalState* state = nullptr;
+  GlobalState state;
   std::uint64_t pathCount = 0;
   /// Reachable monitor states, each with one witness path.
   std::map<MonitorState, PathPtr> mstates;

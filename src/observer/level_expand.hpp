@@ -28,13 +28,14 @@
 // construction: edge and prune counts partition over frontier nodes,
 // pathCount folding is a commutative-associative saturating sum,
 // monitorStatesPeak is a max over per-cut final sets, which the keep-first
-// merge reproduces exactly, and intern hit/miss totals are deterministic
-// because misses == distinct states while the lookup count is a pure
-// function of the lattice (see intern.hpp).
+// merge reproduces exactly, and the built/reached tallies are taken from
+// the MERGED level (cuts built == its size, the rest of the edges reached
+// a cut already built).
 //
-// Global states are hash-consed: every FrontierNode holds a pointer into
-// the run's StateArena, and an edge that does not change the written
-// variable's value reuses the parent's pointer outright.
+// Every FrontierNode owns its global state.  An edge builds the child's
+// state only when it first inserts the cut (the parent's values with the
+// written slot set); later edges into the same cut reuse it, which is
+// sound because every path into a cut yields the same state.
 //
 // Analysis plugins (analysis.hpp) hook in at two points: emitViolation
 // routes each candidate violation through AnalysisBus::acceptViolation
@@ -45,8 +46,9 @@
 //
 // Thread-safety requirements on the inputs (all satisfied in-tree):
 // NextFn and LatticeMonitor must be pure/const — workers call them
-// concurrently; the StateSpace is only read; StateArena::intern is
-// internally synchronized.
+// concurrently; the StateSpace and the input frontier are only read.
+// Workers write only their own local frontier and counters, so they share
+// no mutable state and take no locks.
 #pragma once
 
 #include <cstddef>
@@ -93,40 +95,28 @@ struct EdgeCounters {
 inline void applyEdge(const Cut& cut, const FrontierNode& node, ThreadId j,
                       const trace::Message& m, const StateSpace& space,
                       LatticeMonitor* mon, const LatticeOptions& opts,
-                      StateArena& arena, AnalysisBus* bus, Frontier& out,
-                      EdgeCounters& counters,
+                      AnalysisBus* bus, Frontier& out, EdgeCounters& counters,
                       std::vector<Violation>* violations) {
   ++counters.edges;
   const EventRef ref{j, cut.k[j] + 1};
-  Cut ncut = cut.advanced(j);
 
-  // Apply the event's state update, hash-consed: an edge that leaves the
-  // value unchanged reuses the parent's interned state without a lookup.
-  const GlobalState* nstate = node.state;
-  if (const auto slot = space.slotOf(m.event.var)) {
-    if (nstate->values[*slot] != m.event.value) {
-      GlobalState changed = *nstate;
-      changed.values[*slot] = m.event.value;
-      nstate = arena.intern(std::move(changed));
-    } else {
-      arena.noteReuse();
-    }
-  }
-
-  auto [it, inserted] = out.try_emplace(std::move(ncut));
+  auto [it, inserted] = out.try_emplace(cut.advanced(j));
   FrontierNode& child = it->second;
   if (inserted) {
-    child.state = nstate;
+    // All paths into a cut yield the same state (writes to each variable
+    // are totally ordered by ≺, so a consistent cut has a unique maximal
+    // write per variable): build it from the first parent only.
+    child.state = node.state;
+    if (const auto slot = space.slotOf(m.event.var)) {
+      child.state.values[*slot] = m.event.value;
+    }
   }
-  // All paths into a cut yield the same state (writes to each variable are
-  // totally ordered by ≺, so a consistent cut has a unique maximal write
-  // per variable).
   child.pathCount = saturatingAdd(child.pathCount, node.pathCount,
                                   counters.pathCountSaturated);
 
   if (mon != nullptr) {
     for (const auto& [ms, witness] : node.mstates) {
-      const MonitorState nm = mon->advance(ms, *child.state);
+      const MonitorState nm = mon->advance(ms, child.state);
       if (!mon->isViolating(nm) && !mon->canEverViolate(nm)) {
         ++counters.prunedMonitorStates;  // permanently safe: GC
         continue;
@@ -138,7 +128,7 @@ inline void applyEdge(const Cut& cut, const FrontierNode& node, ThreadId j,
       }
       child.mstates.emplace(nm, npath);
       if (mon->isViolating(nm)) {
-        emitViolation(violations, bus, opts, it->first, *child.state, nm,
+        emitViolation(violations, bus, opts, it->first, child.state, nm,
                       npath);
       }
     }
@@ -159,8 +149,8 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
                      const StateSpace& space, LatticeMonitor* mon,
                      const LatticeOptions& opts, LatticeStats& stats,
                      std::vector<Violation>* violations, AnalysisBus* bus,
-                     StateArena& arena, parallel::ThreadPool* pool,
-                     std::size_t& edges, const NextFn& next) {
+                     parallel::ThreadPool* pool, std::size_t& edges,
+                     const NextFn& next) {
   Frontier result;
   EdgeCounters counters;
 
@@ -186,8 +176,8 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
       for (ThreadId j = 0; j < threads; ++j) {
         const trace::Message* m = next(cut, j);
         if (m == nullptr) continue;
-        applyEdge(cut, node, j, *m, space, mon, opts, arena, bus, result,
-                  counters, violations);
+        applyEdge(cut, node, j, *m, space, mon, opts, bus, result, counters,
+                  violations);
       }
     }
   } else {
@@ -206,8 +196,8 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
               if (m == nullptr) continue;
               // Violations deferred to the merge: workers must not touch
               // the shared violation list, the plugin bus, or telemetry.
-              applyEdge(cut, node, j, *m, space, mon, opts, arena, nullptr,
-                        local, lc, nullptr);
+              applyEdge(cut, node, j, *m, space, mon, opts, nullptr, local,
+                        lc, nullptr);
             }
           }
         });
@@ -225,7 +215,7 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
       for (const auto& [cut, child] : result) {
         for (const auto& [nm, witness] : child.mstates) {
           if (mon->isViolating(nm)) {
-            emitViolation(violations, bus, opts, cut, *child.state, nm,
+            emitViolation(violations, bus, opts, cut, child.state, nm,
                           witness);
           }
         }
@@ -242,7 +232,7 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
             for (const auto& [nm, witness] : pos->second.mstates) {
               if (mon->isViolating(nm)) {
                 emitViolation(violations, bus, opts, pos->first,
-                              *pos->second.state, nm, witness);
+                              pos->second.state, nm, witness);
               }
             }
           }
@@ -257,7 +247,7 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
               child.mstates.emplace(nm, std::move(witness));
           if (!fresh) continue;  // keep-first: earlier chunk's witness stands
           if (mon != nullptr && mon->isViolating(nm)) {
-            emitViolation(violations, bus, opts, found->first, *child.state,
+            emitViolation(violations, bus, opts, found->first, child.state,
                           nm, mit->second);
           }
         }
@@ -277,20 +267,27 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
   return result;
 }
 
-/// Copies the arena tallies into the stats block (end of run / level).
-inline void recordInternStats(LatticeStats& stats, const StateArena& states,
+/// Folds one expanded level into the edge tallies.  `built` is the size of
+/// the merged level before any shedding: each of its cuts was built by one
+/// edge, and every other edge reached a cut already built.
+inline void recordLevelEdges(LatticeStats& stats, std::size_t edges,
+                             std::size_t built) {
+  stats.totalEdges += edges;
+  stats.internMisses += built;
+  stats.internHits += edges - built;
+}
+
+/// Copies the monitor-set arena tallies into the stats block and publishes
+/// the edge hit rate (end of run).
+inline void recordInternStats(LatticeStats& stats,
                               const MonitorSetArena& msets) {
-  const InternStats s = states.stats();
-  stats.internHits = s.hits;
-  stats.internMisses = s.misses;
-  stats.internedStates = s.size;
   const InternStats m = msets.stats();
   stats.msetInternHits = m.hits;
   stats.msetInternMisses = m.misses;
   if constexpr (telemetry::kEnabled) {
-    ObserverMetrics& tm = ObserverMetrics::get();
-    tm.internStates.set(static_cast<std::int64_t>(s.size));
-    tm.internHitRate.set(static_cast<std::int64_t>(s.hitRate() * 100.0));
+    const std::uint64_t edges = stats.internHits + stats.internMisses;
+    ObserverMetrics::get().internHitRate.set(static_cast<std::int64_t>(
+        edges == 0 ? 0 : 100 * stats.internHits / edges));
   }
 }
 

@@ -17,7 +17,6 @@ struct ObserverMetrics {
   telemetry::Histogram& levelNs;
   telemetry::Gauge& monitorStatesPeak;
   telemetry::Gauge& backlogHwm;
-  telemetry::Gauge& internStates;
   telemetry::Gauge& internHitRate;
   telemetry::Gauge& budgetLimit;
   telemetry::Gauge& budgetAccounted;
@@ -53,11 +52,8 @@ struct ObserverMetrics {
             "High-water mark of buffered messages awaiting lattice "
             "consumption (online analyzer only)"),
         telemetry::registry().gauge(
-            "mpx_observer_intern_states",
-            "Distinct global states resident in the hash-consing arena"),
-        telemetry::registry().gauge(
             "mpx_observer_intern_hit_rate_percent",
-            "State-intern lookups that found a resident state, percent "
+            "Lattice edges that reached an already-built cut, percent "
             "(most recent run)"),
         telemetry::registry().gauge(
             "mpx_observer_budget_limit_bytes",
@@ -65,8 +61,9 @@ struct ObserverMetrics {
             "(0 = unlimited)"),
         telemetry::registry().gauge(
             "mpx_observer_budget_accounted_bytes",
-            "Accounted working set (arenas + live frontiers) after the "
-            "last completed level, under the deterministic byte model"),
+            "Accounted working set (monitor-set arena + live frontiers) "
+            "after the last completed level, under the deterministic byte "
+            "model"),
         telemetry::registry().gauge(
             "mpx_observer_budget_peak_bytes",
             "High-water mark of the accounted working set"),

@@ -60,14 +60,14 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
   minK_.assign(threads, 0);
   // Level 0.
   detail::FrontierNode init;
-  init.state = states_.intern(GlobalState(space_.initialValues()));
+  init.state = GlobalState(space_.initialValues());
   init.pathCount = 1;
   if (monitor_ != nullptr) {
-    const MonitorState m0 = monitor_->initial(*init.state);
+    const MonitorState m0 = monitor_->initial(init.state);
     init.mstates.emplace(m0, nullptr);
     if (monitor_->isViolating(m0)) {
       detail::emitViolation(&violations_, bus_, opts_, Cut(threads),
-                            *init.state, m0, nullptr);
+                            init.state, m0, nullptr);
     }
   }
   frontier_.emplace(Cut(threads), std::move(init));
@@ -77,8 +77,7 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
   stats_.peakLiveNodes = 1;
   stats_.monitorStatesPeak = monitor_ != nullptr ? 1 : 0;
   liveFrontierBytes_ = detail::frontierBytes(frontier_, opts_.recordPaths);
-  stats_.accountedBytes =
-      states_.bytes() + msets_.bytes() + liveFrontierBytes_;
+  stats_.accountedBytes = msets_.bytes() + liveFrontierBytes_;
   stats_.peakAccountedBytes = stats_.accountedBytes;
 }
 
@@ -229,19 +228,20 @@ void OnlineAnalyzer::expandOneLevel() {
   std::size_t edges = 0;
   detail::Frontier next = detail::expandLevel(
       frontier_, buffered_.size(), space_, monitor_, opts_, stats_,
-      &violations_, bus_, states_, poolForRun(), edges, nextMsg);
+      &violations_, bus_, poolForRun(), edges, nextMsg);
+  const std::size_t built = next.size();
   // Degradation ladder: shed nodes (deterministically) when the level
   // pushes the accounted working set over the budget or the frontier cap.
   // stats_.levels is the pre-increment count, so `next` sits at level
   // stats_.levels — the same index the batch lattice passes (level + 1),
   // which keeps the sampled survivor sets identical between the two.
   detail::enforceBudget(next, opts_, stats_, stats_.levels,
-                        states_.bytes() + msets_.bytes(), liveFrontierBytes_,
+                        msets_.bytes(), liveFrontierBytes_,
                         [this](const Cut& cut) {
                           return observedPathKey(cut);
                         });
 
-  stats_.totalEdges += edges;
+  detail::recordLevelEdges(stats_, edges, built);
   stats_.totalNodes += next.size();
   stats_.peakLevelWidth = std::max(stats_.peakLevelWidth, next.size());
   stats_.peakLiveNodes =
@@ -330,7 +330,7 @@ void writeStats(ckpt::Writer& w, const LatticeStats& s) {
   w.boolean(s.approximated);
   w.u64(s.internHits);
   w.u64(s.internMisses);
-  w.u64(s.internedStates);
+  w.u64(0);  // once the state arena's size; no longer kept
   w.u64(s.msetInternHits);
   w.u64(s.msetInternMisses);
   w.u64(s.accountedBytes);
@@ -357,7 +357,7 @@ bool readStats(ckpt::Reader& r, LatticeStats& s) {
   s.approximated = r.boolean();
   s.internHits = r.u64();
   s.internMisses = r.u64();
-  s.internedStates = static_cast<std::size_t>(r.u64());
+  (void)r.u64();  // once the state arena's size
   s.msetInternHits = r.u64();
   s.msetInternMisses = r.u64();
   s.accountedBytes = r.u64();
@@ -402,20 +402,31 @@ void OnlineAnalyzer::checkpoint(ckpt::Writer& w) const {
     }
   }
 
-  // Both arenas: every distinct value in sorted order, plus the hit tally.
-  // Restore re-interns in this exact order, which (a) rebuilds misses and
-  // accounted bytes exactly and (b) makes pointer assignment deterministic
-  // so the frontier below can reference states by index.
-  const auto states = states_.snapshotSorted();
-  std::unordered_map<const GlobalState*, std::uint64_t> stateIndex;
-  stateIndex.reserve(states.size());
+  std::vector<const detail::Frontier::value_type*> sorted;
+  sorted.reserve(frontier_.size());
+  for (const auto& kv : frontier_) sorted.push_back(&kv);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return a->first.k < b->first.k; });
+
+  // The distinct states of the live frontier in sorted order; the frontier
+  // below references them by index.  The word after them once held the
+  // state arena's hit tally and is kept for the layout.
+  std::vector<std::vector<Value>> states;
+  states.reserve(sorted.size());
+  for (const auto* kv : sorted) states.push_back(kv->second.state.values);
+  std::sort(states.begin(), states.end());
+  states.erase(std::unique(states.begin(), states.end()), states.end());
+  const auto stateIndexOf = [&states](const GlobalState& st) {
+    return static_cast<std::uint64_t>(
+        std::lower_bound(states.begin(), states.end(), st.values) -
+        states.begin());
+  };
   w.u64(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    stateIndex.emplace(states[i], i);
-    w.u64(states[i]->values.size());
-    for (const Value v : states[i]->values) w.i64(v);
+  for (const std::vector<Value>& values : states) {
+    w.u64(values.size());
+    for (const Value v : values) w.i64(v);
   }
-  w.u64(states_.stats().hits);
+  w.u64(0);
 
   const auto msets = msets_.snapshotSorted();
   w.u64(msets.size());
@@ -428,11 +439,6 @@ void OnlineAnalyzer::checkpoint(ckpt::Writer& w) const {
   // Witness-path DAG reachable from the frontier, parents before children
   // (persistent shared-suffix chains; each node written once).  Id 0 is
   // the null path.
-  std::vector<const detail::Frontier::value_type*> sorted;
-  sorted.reserve(frontier_.size());
-  for (const auto& kv : frontier_) sorted.push_back(&kv);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first.k < b->first.k; });
   std::unordered_map<const PathNode*, std::uint64_t> pathIds;
   std::vector<const PathNode*> pathOrder;
   const auto visitPath = [&](const PathPtr& p) {
@@ -465,7 +471,7 @@ void OnlineAnalyzer::checkpoint(ckpt::Writer& w) const {
   for (const auto* kv : sorted) {
     w.u64(kv->first.k.size());
     for (const std::uint32_t c : kv->first.k) w.u32(c);
-    w.u64(stateIndex.at(kv->second.state));
+    w.u64(stateIndexOf(kv->second.state));
     w.u64(kv->second.pathCount);
     w.u64(kv->second.mstates.size());
     for (const auto& [ms, p] : kv->second.mstates) {
@@ -508,17 +514,19 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
     }
   }
 
-  states_.clear();
-  std::vector<const GlobalState*> statesByIndex;
+  // Older blobs carry every state the run visited, not only the
+  // frontier's; nodes index into the section either way.
+  std::vector<GlobalState> statesByIndex;
   const std::uint64_t stateCount = r.len(8);
   statesByIndex.reserve(static_cast<std::size_t>(stateCount));
   for (std::uint64_t i = 0; i < stateCount && r.ok(); ++i) {
     const std::uint64_t n = r.len(8);
+    if (n != space_.size()) return false;
     std::vector<Value> values(static_cast<std::size_t>(n));
     for (auto& v : values) v = r.i64();
-    statesByIndex.push_back(states_.intern(GlobalState(std::move(values))));
+    statesByIndex.emplace_back(std::move(values));
   }
-  states_.addHits(r.u64());
+  (void)r.u64();  // the state arena's hit tally in older blobs
 
   msets_.clear();
   const std::uint64_t msetCount = r.len(8);
@@ -598,7 +606,7 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
 
 void OnlineAnalyzer::finalize() {
   finished_ = true;
-  detail::recordInternStats(stats_, states_, msets_);
+  detail::recordInternStats(stats_, msets_);
   if (bus_ != nullptr) bus_->finish(stats_);
 }
 

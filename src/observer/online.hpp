@@ -108,9 +108,9 @@ class OnlineAnalyzer final : public trace::MessageSink {
     return consumedK_;
   }
 
-  /// Serializes the complete analyzer state — the buffered live window, both
-  /// intern arenas, the live frontier (with its witness-path DAG), stats
-  /// and violations — so an identically-constructed analyzer can restore()
+  /// Serializes the complete analyzer state — the buffered live window, the
+  /// distinct states of the live frontier, the monitor-set arena, the live
+  /// frontier (with its witness-path DAG), stats and violations — so an identically-constructed analyzer can restore()
   /// and continue to a byte-identical report.  Plugin state is NOT
   /// included; the session checkpoints each plugin's blob beside this one
   /// (Analysis::checkpoint).  Call only between messages (never from
@@ -118,8 +118,9 @@ class OnlineAnalyzer final : public trace::MessageSink {
   void checkpoint(ckpt::Writer& w) const;
 
   /// Inverse of checkpoint() on a freshly constructed analyzer with the
-  /// same (space, threads, monitor/bus, options).  Rebuilds pointer
-  /// identity by re-interning arena contents in deterministic order.  A
+  /// same (space, threads, monitor/bus, options).  Frontier nodes copy
+  /// their states out of the blob's state section; blobs written when that
+  /// section held every state the run had visited restore the same way.  A
   /// blob whose message section still holds consumed messages (written
   /// before they were released) restores to the same state; those
   /// messages are freed.
@@ -155,7 +156,6 @@ class OnlineAnalyzer final : public trace::MessageSink {
   LatticeMonitor* monitor_;
   AnalysisBus* bus_ = nullptr;
   LatticeOptions opts_;
-  StateArena states_;
   MonitorSetArena msets_;
   /// buffered_[j][k] = thread j's k-th message, for k >= minK_[j] (sparse
   /// until gaps fill).  Lower indices are freed: every frontier cut has

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -32,7 +33,7 @@ class NodeCensus final : public Analysis {
   void onNode(const NodeView& node) override {
     ++count_;
     order_.push_back(node.cut->toString());
-    statePtrs_.insert(node.state);
+    states_.emplace_back(node.cut->k, *node.state);
     msetPtrs_.insert(node.monitorStates);
   }
 
@@ -44,7 +45,7 @@ class NodeCensus final : public Analysis {
     auto& f = static_cast<NodeCensus&>(fork);
     count_ += f.count_;
     order_.insert(order_.end(), f.order_.begin(), f.order_.end());
-    statePtrs_.insert(f.statePtrs_.begin(), f.statePtrs_.end());
+    states_.insert(states_.end(), f.states_.begin(), f.states_.end());
     msetPtrs_.insert(f.msetPtrs_.begin(), f.msetPtrs_.end());
   }
 
@@ -58,7 +59,7 @@ class NodeCensus final : public Analysis {
 
   std::size_t count_ = 0;
   std::vector<std::string> order_;
-  std::set<const GlobalState*> statePtrs_;
+  std::vector<std::pair<std::vector<std::uint32_t>, GlobalState>> states_;
   std::set<const std::vector<MonitorState>*> msetPtrs_;
 };
 
@@ -147,10 +148,11 @@ TEST(AnalysisPlugin, NodeDispatchCoversEveryNodeOnce) {
   const LatticeStats stats = lattice.analyze(bus, violations);
 
   EXPECT_EQ(census.count_, stats.totalNodes);
-  // NodeView hands out interned pointers: distinct pointers == distinct
-  // states (never more than cuts).
-  EXPECT_EQ(census.statePtrs_.size(), stats.internedStates);
-  EXPECT_LE(census.statePtrs_.size(), census.count_);
+  // Each NodeView shows its cut's own valuation.
+  ASSERT_EQ(census.states_.size(), census.count_);
+  for (const auto& [k, state] : census.states_) {
+    EXPECT_EQ(state, mpx::testing::foldedState(c.graph, c.space, k));
+  }
   // No monitor on the bus: every node carries the interned empty set.
   EXPECT_EQ(census.msetPtrs_.size(), 1u);
 }

@@ -1,11 +1,11 @@
-// Hash-consing arenas (intern.hpp) and their integration with the lattice
-// engine: pointer equality == value equality, deterministic hit/miss
-// counts, and the memory win over per-cut state copies.
+// The monitor-set arena (intern.hpp) and the lattice's edge tallies
+// (LatticeStats::internHits/internMisses): every edge either builds a cut
+// or reaches one already built, and the counts are a pure function of the
+// lattice.
 #include "observer/intern.hpp"
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -16,60 +16,6 @@ namespace {
 
 using mpx::testing::landingComputation;
 using mpx::testing::xyzComputation;
-
-TEST(StateArena, EqualStatesInternToSamePointer) {
-  StateArena arena;
-  const GlobalState* a = arena.intern(GlobalState({1, 2, 3}));
-  const GlobalState* b = arena.intern(GlobalState({1, 2, 3}));
-  EXPECT_EQ(a, b);
-  const InternStats s = arena.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.size, 1u);
-}
-
-TEST(StateArena, DistinctStatesGetDistinctPointers) {
-  StateArena arena;
-  const GlobalState* a = arena.intern(GlobalState({0}));
-  const GlobalState* b = arena.intern(GlobalState({1}));
-  const GlobalState* c = arena.intern(GlobalState({0, 0}));
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_NE(b, c);
-  EXPECT_EQ(arena.stats().misses, 3u);
-  EXPECT_EQ(arena.stats().size, 3u);
-}
-
-TEST(StateArena, PointersSurviveManyInsertions) {
-  // Node-based storage: rehashing must never move interned states.
-  StateArena arena;
-  const GlobalState* first = arena.intern(GlobalState({42}));
-  const GlobalState firstCopy = *first;
-  for (Value v = 0; v < 2000; ++v) {
-    (void)arena.intern(GlobalState({v, v + 1}));
-  }
-  EXPECT_EQ(arena.intern(GlobalState({42})), first);
-  EXPECT_EQ(first->values, firstCopy.values);
-}
-
-TEST(StateArena, NoteReuseCountsAsHit) {
-  StateArena arena;
-  (void)arena.intern(GlobalState({7}));
-  arena.noteReuse();
-  arena.noteReuse();
-  EXPECT_EQ(arena.stats().hits, 2u);
-  EXPECT_EQ(arena.stats().misses, 1u);
-}
-
-TEST(StateArena, HitRate) {
-  StateArena arena;
-  EXPECT_DOUBLE_EQ(arena.stats().hitRate(), 0.0);
-  (void)arena.intern(GlobalState({1}));
-  (void)arena.intern(GlobalState({1}));
-  (void)arena.intern(GlobalState({1}));
-  (void)arena.intern(GlobalState({2}));
-  EXPECT_DOUBLE_EQ(arena.stats().hitRate(), 0.5);
-}
 
 TEST(MonitorSetArena, DedupesEqualSortedSets) {
   MonitorSetArena arena;
@@ -94,39 +40,32 @@ TEST(MonitorSetArena, EmptySetIsACanonicalValueToo) {
 
 // --- lattice integration ------------------------------------------------
 
-TEST(LatticeIntern, MissesEqualDistinctStates) {
-  // internMisses must equal the number of DISTINCT global states the
-  // lattice visits — counted here independently from the retained levels.
+TEST(LatticeIntern, MissesEqualCutsBuilt) {
+  // Without shedding every cut but the initial one is built exactly once,
+  // and the remaining edges reached a cut already built.
   const auto c = xyzComputation();
-  LatticeOptions opts;
-  opts.retention = Retention::kFull;
-  ComputationLattice lattice(c.graph, c.space, opts);
+  ComputationLattice lattice(c.graph, c.space, LatticeOptions{});
   const LatticeStats& stats = lattice.build();
-
-  std::set<std::vector<Value>> distinct;
-  for (const auto& level : lattice.levels()) {
-    for (const auto& node : level) distinct.insert(node.state.values);
-  }
-  EXPECT_EQ(stats.internMisses, distinct.size());
-  EXPECT_EQ(stats.internedStates, distinct.size());
-  EXPECT_GE(stats.internMisses + stats.internHits, stats.totalNodes);
+  EXPECT_EQ(stats.internMisses, stats.totalNodes - 1);
+  EXPECT_EQ(stats.internHits + stats.internMisses, stats.totalEdges);
 }
 
 TEST(LatticeIntern, EveryCorpusComputationShowsNonzeroHitRate) {
-  // The two-consecutive-levels bound only shrinks if interning actually
-  // deduplicates: both paper examples revisit states across cuts.
+  // Both paper examples have concurrent events, so some cut is reached
+  // along more than one edge.
   for (const auto& comp : {landingComputation(), xyzComputation()}) {
     ComputationLattice lattice(comp.graph, comp.space, LatticeOptions{});
     const LatticeStats& stats = lattice.build();
     EXPECT_GT(stats.internHits, 0u);
     EXPECT_GT(stats.internMisses, 0u);
-    EXPECT_LE(stats.internedStates, stats.totalNodes);
+    EXPECT_LT(stats.internMisses, stats.totalEdges);
   }
 }
 
-TEST(LatticeIntern, RevisitedStatesShareOneArenaEntry) {
-  // Two threads toggling private flags: 9 cuts but only 4 distinct global
-  // states ({0,1} x {0,1}) — the arena must hold 4, not 9.
+TEST(LatticeIntern, JoinsCountAsHits) {
+  // Two threads writing private flags twice each: a 3x3 grid of 9 cuts
+  // and 12 edges.  8 cuts are built; the 4 cuts with two predecessors are
+  // each reached once more.
   program::ProgramBuilder b;
   const VarId p = b.var("p", 0);
   const VarId q = b.var("q", 0);
@@ -140,14 +79,14 @@ TEST(LatticeIntern, RevisitedStatesShareOneArenaEntry) {
   ComputationLattice lattice(c.graph, c.space, LatticeOptions{});
   const LatticeStats& stats = lattice.build();
   EXPECT_EQ(stats.totalNodes, 9u);
-  EXPECT_EQ(stats.internedStates, 4u);
-  EXPECT_EQ(stats.internMisses, 4u);
-  EXPECT_LT(stats.internedStates, stats.totalNodes);
+  EXPECT_EQ(stats.totalEdges, 12u);
+  EXPECT_EQ(stats.internMisses, 8u);
+  EXPECT_EQ(stats.internHits, 4u);
 }
 
 TEST(LatticeIntern, CountsDeterministicAcrossJobs) {
-  // intern() runs from pool workers in parallel expansion, but the totals
-  // are a pure function of the lattice — any jobs count agrees.
+  // Workers build cuts into private frontiers, but the tallies are taken
+  // from the merged level — any jobs count agrees.
   const auto c = xyzComputation();
   LatticeStats serial;
   LatticeStats parallel;
@@ -166,7 +105,6 @@ TEST(LatticeIntern, CountsDeterministicAcrossJobs) {
   }
   EXPECT_EQ(serial.internHits, parallel.internHits);
   EXPECT_EQ(serial.internMisses, parallel.internMisses);
-  EXPECT_EQ(serial.internedStates, parallel.internedStates);
   EXPECT_EQ(serial.totalNodes, parallel.totalNodes);
 }
 
