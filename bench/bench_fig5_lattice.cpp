@@ -18,12 +18,10 @@ namespace {
 using namespace mpx;
 namespace corpus = program::corpus;
 
-analysis::AnalysisResult analyzeObserved(observer::Retention retention =
-                                             observer::Retention::kSlidingWindow) {
+analysis::AnalysisResult analyzeObserved() {
   const program::Program prog = corpus::landingController();
   analysis::AnalyzerConfig config;
   config.spec = corpus::landingProperty();
-  config.lattice.retention = retention;
   analysis::PredictiveAnalyzer analyzer(prog, config);
   program::FixedScheduler sched(corpus::landingObservedSchedule());
   return analyzer.analyze(sched);
@@ -32,8 +30,7 @@ analysis::AnalysisResult analyzeObserved(observer::Retention retention =
 void printArtifact() {
   std::printf("=== Paper Figure 5: landing-controller computation lattice ===\n");
   std::printf("property: %s\n", corpus::landingProperty());
-  const analysis::AnalysisResult r =
-      analyzeObserved(observer::Retention::kFull);
+  const analysis::AnalysisResult r = analyzeObserved();
   observer::ComputationLattice lattice(r.causality, r.space,
                                        {.retention = observer::Retention::kFull});
   lattice.build();

@@ -16,12 +16,10 @@ namespace {
 using namespace mpx;
 namespace corpus = program::corpus;
 
-analysis::AnalysisResult analyzeObserved(
-    observer::Retention retention = observer::Retention::kSlidingWindow) {
+analysis::AnalysisResult analyzeObserved() {
   const program::Program prog = corpus::xyzProgram();
   analysis::AnalyzerConfig config;
   config.spec = corpus::xyzProperty();
-  config.lattice.retention = retention;
   analysis::PredictiveAnalyzer analyzer(prog, config);
   program::FixedScheduler sched(corpus::xyzObservedSchedule());
   return analyzer.analyze(sched);
@@ -31,8 +29,7 @@ void printArtifact() {
   std::printf("=== Paper Figure 6: x/y/z computation lattice ===\n");
   std::printf("property: %s\n", corpus::xyzProperty());
   const program::Program prog = corpus::xyzProgram();
-  const analysis::AnalysisResult r =
-      analyzeObserved(observer::Retention::kFull);
+  const analysis::AnalysisResult r = analyzeObserved();
 
   std::printf("messages (paper notation):\n");
   trace::TextCodec codec(prog.vars);

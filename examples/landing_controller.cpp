@@ -26,7 +26,6 @@ int main() {
 
   analysis::AnalyzerConfig config;
   config.spec = corpus::landingProperty();
-  config.lattice.retention = observer::Retention::kFull;
   analysis::PredictiveAnalyzer analyzer(prog, config);
 
   std::printf("property: %s\n\n", config.spec.c_str());
@@ -45,8 +44,8 @@ int main() {
               r.observedRunViolates() ? "YES" : "no");
 
   std::printf("=== Computation lattice (paper Fig. 5) ===\n");
-  observer::ComputationLattice lattice(r.causality, r.space,
-                                       config.lattice);
+  observer::ComputationLattice lattice(
+      r.causality, r.space, {.retention = observer::Retention::kFull});
   lattice.build();
   std::printf("%s", lattice.render().c_str());
   std::printf("nodes: %zu, runs: %llu\n\n", lattice.stats().totalNodes,

@@ -153,7 +153,6 @@ int analyze(const std::string& name, int argc, char** argv) {
   else if (delivery == "reverse")
     config.delivery = trace::DeliveryPolicy::kReverse;
   const bool wantLattice = hasFlag(argc, argv, "--lattice");
-  if (wantLattice) config.lattice.retention = observer::Retention::kFull;
   // --jobs N: expand lattice levels on N pool workers (1 = serial,
   // 0 = one per hardware thread).  Verdicts are identical either way.
   config.lattice.parallel.jobs =
@@ -256,8 +255,7 @@ int analyze(const std::string& name, int argc, char** argv) {
                   "'%s' at level %llu\n",
                   observer::toString(r.latticeStats.boundReason),
                   static_cast<unsigned long long>(
-                      r.latticeStats.droppedNodes +
-                      r.latticeStats.beamPrunedNodes),
+                      r.latticeStats.droppedNodes),
                   observer::toString(r.latticeStats.degradation),
                   static_cast<unsigned long long>(
                       r.latticeStats.degradedAtLevel));
@@ -297,8 +295,9 @@ int analyze(const std::string& name, int argc, char** argv) {
   }
 
   if (wantLattice) {
-    observer::ComputationLattice lattice(r.causality, r.space,
-                                         config.lattice);
+    observer::LatticeOptions full = config.lattice;
+    full.retention = observer::Retention::kFull;
+    observer::ComputationLattice lattice(r.causality, r.space, full);
     lattice.build();
     std::printf("=== lattice ===\n%s", lattice.render().c_str());
   }
@@ -315,8 +314,7 @@ int analyze(const std::string& name, int argc, char** argv) {
     std::printf("coverage: BOUNDED(%s, dropped_nodes=%llu)\n",
                 observer::toString(r.latticeStats.boundReason),
                 static_cast<unsigned long long>(
-                    r.latticeStats.droppedNodes +
-                    r.latticeStats.beamPrunedNodes));
+                    r.latticeStats.droppedNodes));
   }
   return analysis::exitCodeFor(true, r.predictedViolations.size(),
                                r.latticeStats.bounded());

@@ -44,11 +44,9 @@ std::string renderViolationReport(const observer::StateSpace& space,
     const char* reason =
         stats.boundReason != observer::BoundReason::kNone
             ? observer::toString(stats.boundReason)
-            : (stats.truncated        ? "level-width-cap"
-               : stats.approximated   ? "beam"
-                                      : "incomplete");
-    os << "verdict: BOUNDED(" << reason << ", dropped_nodes="
-       << (stats.droppedNodes + stats.beamPrunedNodes) << ")\n";
+            : (stats.truncated ? "level-width-cap" : "incomplete");
+    os << "verdict: BOUNDED(" << reason
+       << ", dropped_nodes=" << stats.droppedNodes << ")\n";
   }
   return os.str();
 }

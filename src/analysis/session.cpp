@@ -155,7 +155,7 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
   w.u64(lat.maxNodesPerLevel);
   w.u64(lat.maxViolations);
   w.boolean(lat.recordPaths);
-  w.u64(lat.beamWidth);
+  w.u64(0);  // once the beam width; no longer an option
   w.u64(lat.memoryBudgetBytes);
   w.u64(lat.maxFrontier);
   w.u64(lat.degradationSeed);
@@ -216,7 +216,7 @@ std::unique_ptr<AnalyzerSession> AnalyzerSession::restore(
   cfg.lattice.maxNodesPerLevel = static_cast<std::size_t>(r.u64());
   cfg.lattice.maxViolations = static_cast<std::size_t>(r.u64());
   cfg.lattice.recordPaths = r.boolean();
-  cfg.lattice.beamWidth = static_cast<std::size_t>(r.u64());
+  (void)r.u64();  // once the beam width
   cfg.lattice.memoryBudgetBytes = static_cast<std::size_t>(r.u64());
   cfg.lattice.maxFrontier = static_cast<std::size_t>(r.u64());
   cfg.lattice.degradationSeed = r.u64();

@@ -35,8 +35,8 @@
 // The observed-execution cut at level L is recovered without any arrival-
 // order bookkeeping: the events' globalSeq stamps give the execution's
 // total order, and the prefix cut of length L is exactly the consistent
-// cut minimizing max(globalSeq of its per-thread last events).  Both the
-// batch lattice and the online analyzer supply that key via a callback.
+// cut minimizing max(globalSeq of its per-thread last events).  The
+// online analyzer supplies that key via a callback.
 //
 // Soundness: shedding only ever REMOVES runs from consideration.  Every
 // violation the engine still reports carries a genuine witness run, so a

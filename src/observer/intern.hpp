@@ -9,7 +9,7 @@
 // Invariants (DESIGN.md §5b):
 //   * An interned pointer stays valid for the arena's lifetime (node-based
 //     std::unordered_set storage; no rehash ever moves elements).  One
-//     arena per ComputationLattice run / OnlineAnalyzer instance.
+//     arena per OnlineAnalyzer (so one per ComputationLattice run).
 //   * Single-threaded: sets are interned on the orchestrator thread when a
 //     level completes, so hit/miss totals are the same for any jobs count.
 #pragma once

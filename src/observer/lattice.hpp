@@ -19,25 +19,24 @@
 // synthesized monitor together with each global state in the computation
 // lattice").
 //
-// Level expansion can itself run multi-threaded (LatticeOptions::parallel)
-// — see level_expand.hpp for the engine and its determinism contract.  The
-// vocabulary types (Cut, Violation, LatticeStats, ...) live in
+// ComputationLattice is the batch special case of the online analysis
+// (online.hpp), where every event is already there: each run feeds the
+// finalized graph's messages to a fresh OnlineAnalyzer in observed order,
+// then ends the trace, and copies the analyzer's stats and violations out.
+// The vocabulary types (Cut, Violation, LatticeStats, ...) live in
 // lattice_types.hpp.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "observer/causality.hpp"
 #include "observer/global_state.hpp"
-#include "observer/intern.hpp"
 #include "observer/lattice_types.hpp"
+#include "observer/online.hpp"
 
 namespace mpx::observer {
-
-class AnalysisBus;
 
 class ComputationLattice {
  public:
@@ -50,8 +49,8 @@ class ComputationLattice {
   const LatticeStats& build();
 
   /// Builds the lattice while checking `mon` over all runs in parallel.
-  /// Violations (up to opts.maxViolations distinct witnesses) land in
-  /// `violations`.
+  /// Violations (up to opts.maxViolations distinct witnesses) are appended
+  /// to `violations`.
   const LatticeStats& check(LatticeMonitor& mon,
                             std::vector<Violation>& violations);
 
@@ -59,14 +58,15 @@ class ComputationLattice {
   /// the bus's packed monitor rides the nodes, candidate violations are
   /// filtered through the owning plugins, completed levels are dispatched
   /// to node-observing plugins, and plugin finish() hooks run at the end.
-  /// Accepted violations land in `violations`.
+  /// Accepted violations are appended to `violations`.
   const LatticeStats& analyze(AnalysisBus& bus,
                               std::vector<Violation>& violations);
 
   [[nodiscard]] const LatticeStats& stats() const noexcept { return stats_; }
 
-  /// Retained levels (only with Retention::kFull).  levels()[L] is sorted
-  /// by cut for deterministic iteration.
+  /// Retained levels of the last run (only with Retention::kFull; see
+  /// OnlineAnalyzer::levels).  levels()[L] is sorted by cut for
+  /// deterministic iteration.
   [[nodiscard]] const std::vector<std::vector<LevelNode>>& levels() const;
 
   /// Renders the full lattice as an ASCII diagram (requires kFull).
@@ -76,27 +76,18 @@ class ComputationLattice {
   [[nodiscard]] std::string renderDot() const;
 
  private:
-  const LatticeStats& run(LatticeMonitor* mon,
-                          std::vector<Violation>* violations,
-                          AnalysisBus* bus);
-  [[nodiscard]] bool enabled(const Cut& cut, ThreadId j) const;
-  /// Max globalSeq over the cut's per-thread last events — the budget
-  /// enforcer's observed-execution key (see budget.hpp).
-  [[nodiscard]] std::uint64_t observedPathKey(const Cut& cut) const;
-  void retainLevel(std::uint64_t level, const detail::Frontier& frontier);
-  [[nodiscard]] parallel::ThreadPool* poolForRun();
+  /// Feeds the graph to `analyzer`, ends the trace, and copies the
+  /// analyzer's stats (and violations, when collecting) out.
+  const LatticeStats& run(std::unique_ptr<OnlineAnalyzer> analyzer,
+                          std::vector<Violation>* violations);
 
   const CausalityGraph* graph_;
   StateSpace space_;
   LatticeOptions opts_;
   LatticeStats stats_;
-  std::vector<std::vector<LevelNode>> retained_;
-  /// Lazily created when opts_.parallel asks for jobs > 1 and no external
-  /// pool was injected; reused across build()/check() calls.
-  std::unique_ptr<parallel::ThreadPool> ownedPool_;
-  /// Monitor-set arena, recreated per run (dispatched NodeViews point into
-  /// it; see intern.hpp for the lifetime invariant).
-  std::unique_ptr<MonitorSetArena> msets_;
+  /// The last run's analyzer, kept for levels().  Finished, so it never
+  /// touches the run's monitor or bus again.
+  std::unique_ptr<OnlineAnalyzer> analyzer_;
 };
 
 }  // namespace mpx::observer

@@ -1,7 +1,7 @@
 // Vocabulary types of the computation lattice (paper §4): cuts, monitors,
-// violations, options and statistics.  Shared by the batch
-// ComputationLattice and the incremental OnlineAnalyzer — both build the
-// same structure through the level-expansion engine in level_expand.hpp.
+// violations, options and statistics.  The OnlineAnalyzer builds the
+// structure through the level-expansion engine in level_expand.hpp; the
+// batch ComputationLattice drives an OnlineAnalyzer.
 #pragma once
 
 #include <cstdint>
@@ -158,20 +158,14 @@ enum class BoundReason : std::uint8_t {
 
 struct LatticeOptions {
   Retention retention = Retention::kSlidingWindow;
-  /// Safety cap on level width; exceeded => stats.truncated.
+  /// Safety cap on level width; exceeded => stats.truncated.  The level
+  /// that exceeds it is counted in the stats (levels, totalNodes) but is
+  /// neither retained nor dispatched, and the run stops there.
   std::size_t maxNodesPerLevel = 1u << 22;
   /// Stop collecting violations after this many distinct witnesses.
   std::size_t maxViolations = 64;
   /// Record counterexample paths (costs one PathNode per node/monitor-state).
   bool recordPaths = true;
-  /// Beam approximation ("the computation lattice can grow quite large",
-  /// paper §4): when a level exceeds this width, keep only the
-  /// `beamWidth` cuts covering the most runs (highest path counts) and
-  /// drop the rest.  Reported violations remain REAL (their witnesses are
-  /// genuine runs), but coverage is no longer exhaustive —
-  /// stats.approximated records that the verdict "no violation" is then
-  /// only best-effort.  0 disables.
-  std::size_t beamWidth = 0;
   /// Multi-threaded level expansion (jobs > 1).  Violation SETS, stats and
   /// retained levels are identical to the serial path; only the ORDER in
   /// which violations are appended may differ (see level_expand.hpp).
@@ -208,9 +202,8 @@ struct LatticeStats {
   std::size_t monitorStatesPeak = 0;  ///< max distinct monitor states per node
   std::size_t prunedMonitorStates = 0;  ///< (node, state) pairs GC'd because
                                         ///< the monitor can no longer violate
-  std::size_t beamPrunedNodes = 0;  ///< cuts dropped by the beam approximation
-  bool approximated = false;        ///< beam pruning occurred: absence of
-                                    ///< violations is best-effort only
+  bool approximated = false;  ///< the ladder shed nodes: absence of
+                              ///< violations is best-effort only
   // How often an edge reached a cut that was already built.  Counted per
   // level after the merge, so both are pure functions of the lattice (any
   // jobs count, batch or online): internHits + internMisses == totalEdges.
@@ -229,7 +222,7 @@ struct LatticeStats {
   BoundReason boundReason = BoundReason::kNone;
 
   /// True when the verdict is not exhaustive: some consistent runs were
-  /// never examined (ladder, beam, or width-cap truncation).
+  /// never examined (ladder or width-cap truncation).
   [[nodiscard]] bool bounded() const noexcept {
     return degradation != DegradationMode::kFull || truncated || approximated;
   }

@@ -1,7 +1,8 @@
-// Level-expansion engine shared by the batch ComputationLattice and the
-// OnlineAnalyzer: given the current frontier (all cuts at level L), produce
-// the next frontier (level L+1), feeding monitors, path witnesses, run
-// counts and violations along the way.
+// Level-expansion engine of the OnlineAnalyzer, the one level loop (the
+// batch ComputationLattice drives an OnlineAnalyzer): given the current
+// frontier (all cuts at level L), produce the next frontier (level L+1),
+// feeding monitors, path witnesses, run counts and violations along the
+// way.
 //
 // Two execution modes:
 //

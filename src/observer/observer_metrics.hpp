@@ -1,6 +1,6 @@
-// Observer-layer telemetry, shared by the batch ComputationLattice and the
-// OnlineAnalyzer (they build the same structure, so they report into the
-// same instruments; reset the registry between runs to attribute deltas).
+// Observer-layer telemetry of the OnlineAnalyzer's level loop, which the
+// batch ComputationLattice drives too, so both report into the same
+// instruments (reset the registry between runs to attribute deltas).
 // Internal to src/observer — not part of the public observer API.
 #pragma once
 

@@ -53,7 +53,16 @@ void releaseBelow(std::unordered_map<LocalSeq, trace::Message>& buffer,
 
 OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
                                LatticeMonitor* monitor, LatticeOptions opts)
-    : space_(std::move(space)), monitor_(monitor), opts_(opts) {
+    : OnlineAnalyzer(std::move(space), threads, monitor, nullptr, opts) {}
+
+OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
+                               AnalysisBus& bus, LatticeOptions opts)
+    : OnlineAnalyzer(std::move(space), threads, bus.monitor(), &bus, opts) {}
+
+OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
+                               LatticeMonitor* monitor, AnalysisBus* bus,
+                               LatticeOptions opts)
+    : space_(std::move(space)), monitor_(monitor), bus_(bus), opts_(opts) {
   buffered_.resize(threads);
   prefix_.assign(threads, 0);
   consumedK_.assign(threads, 0);
@@ -79,32 +88,17 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
   liveFrontierBytes_ = detail::frontierBytes(frontier_, opts_.recordPaths);
   stats_.accountedBytes = msets_.bytes() + liveFrontierBytes_;
   stats_.peakAccountedBytes = stats_.accountedBytes;
-}
-
-OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
-                               AnalysisBus& bus, LatticeOptions opts)
-    : OnlineAnalyzer(std::move(space), threads, bus.monitor(), opts) {
-  bus_ = &bus;
-  // Re-run the level-0 hooks the delegated constructor could not see:
-  // violation filtering at level 0 is a no-op to redo (an initial monitor
-  // state violating at Cut(0..0) is emitted by the delegatee unfiltered
-  // only when no bus is attached — here the bus existed too late, so
-  // offer it now), and node-observing plugins get the initial node.
-  if (!violations_.empty()) {
-    // Rare: the property is violated by the initial state itself.  The
-    // delegatee recorded it without consulting the plugins; offer it and
-    // drop it when every owner rejects.
-    if (!bus_->acceptViolation(violations_.front())) violations_.clear();
+  retainLevel(0);
+  if (bus_ != nullptr) {
+    bus_->dispatchLevel(frontier_, 0, msets_, nullptr,
+                        opts_.parallel.minFrontier);
   }
-  bus_->dispatchLevel(frontier_, 0, msets_, nullptr,
-                      opts_.parallel.minFrontier);
 }
 
 std::uint64_t OnlineAnalyzer::observedPathKey(const Cut& cut) const {
-  // Mirrors ComputationLattice::observedPathKey: max globalSeq over the
-  // cut's per-thread last events.  A frontier cut only includes events
-  // that already arrived, and its k_j is at least the release floor
-  // minK_[j], so find() never misses here.
+  // Max globalSeq over the cut's per-thread last events.  A frontier cut
+  // only includes events that already arrived, and its k_j is at least the
+  // release floor minK_[j], so find() never misses here.
   std::uint64_t key = 0;
   for (ThreadId j = 0; j < cut.k.size(); ++j) {
     if (cut.k[j] == 0) continue;
@@ -215,7 +209,7 @@ parallel::ThreadPool* OnlineAnalyzer::poolForRun() {
 }
 
 void OnlineAnalyzer::expandOneLevel() {
-  telemetry::TraceSpan span("online.level", "observer");
+  telemetry::TraceSpan span("lattice.level", "observer");
   telemetry::ScopedTimer levelTimer(ObserverMetrics::get().levelNs);
   const auto nextMsg =
       [this](const Cut& cut, ThreadId j) -> const trace::Message* {
@@ -233,8 +227,8 @@ void OnlineAnalyzer::expandOneLevel() {
   // Degradation ladder: shed nodes (deterministically) when the level
   // pushes the accounted working set over the budget or the frontier cap.
   // stats_.levels is the pre-increment count, so `next` sits at level
-  // stats_.levels — the same index the batch lattice passes (level + 1),
-  // which keeps the sampled survivor sets identical between the two.
+  // stats_.levels: the sampler salts with the level index, which keeps the
+  // survivor sets independent of how many levels one arrival completes.
   detail::enforceBudget(next, opts_, stats_, stats_.levels,
                         msets_.bytes(), liveFrontierBytes_,
                         [this](const Cut& cut) {
@@ -262,11 +256,14 @@ void OnlineAnalyzer::expandOneLevel() {
   }
   liveFrontierBytes_ = detail::frontierBytes(next, opts_.recordPaths);
   frontier_ = std::move(next);
-  if (bus_ != nullptr && frontier_.size() <= opts_.maxNodesPerLevel) {
-    // Matches the batch lattice: a level that trips the width cap is
-    // dropped, not dispatched.
-    bus_->dispatchLevel(frontier_, stats_.levels - 1, msets_, poolForRun(),
-                        opts_.parallel.minFrontier);
+  if (frontier_.size() <= opts_.maxNodesPerLevel) {
+    // A level that trips the width cap ends the run truncated (tryAdvance):
+    // it is counted in the stats but neither retained nor dispatched.
+    retainLevel(stats_.levels - 1);
+    if (bus_ != nullptr) {
+      bus_->dispatchLevel(frontier_, stats_.levels - 1, msets_, poolForRun(),
+                          opts_.parallel.minFrontier);
+    }
   }
 
   settleFrontier();
@@ -285,6 +282,35 @@ void OnlineAnalyzer::expandOneLevel() {
     telemetry::FlightRecorder::global().record(
         telemetry::FlightEvent::kViolation, stats_.levels - 1);
   }
+}
+
+void OnlineAnalyzer::retainLevel(std::uint64_t level) {
+  if (opts_.retention != Retention::kFull) return;
+  std::vector<LevelNode> nodes;
+  nodes.reserve(frontier_.size());
+  for (const auto& [cut, node] : frontier_) {
+    LevelNode ln;
+    ln.cut = cut;
+    ln.state = node.state;
+    ln.pathCount = node.pathCount;
+    for (const auto& [ms, witness] : node.mstates) {
+      ln.monitorStates.push_back(ms);
+    }
+    nodes.push_back(std::move(ln));
+  }
+  std::sort(nodes.begin(), nodes.end(),
+            [](const LevelNode& a, const LevelNode& b) {
+              return a.cut.k < b.cut.k;
+            });
+  if (retained_.size() <= level) retained_.resize(level + 1);
+  retained_[level] = std::move(nodes);
+}
+
+const std::vector<std::vector<LevelNode>>& OnlineAnalyzer::levels() const {
+  if (opts_.retention != Retention::kFull) {
+    throw std::logic_error("levels() requires Retention::kFull");
+  }
+  return retained_;
 }
 
 void OnlineAnalyzer::settleFrontier() {
@@ -326,7 +352,7 @@ void writeStats(ckpt::Writer& w, const LatticeStats& s) {
   w.boolean(s.truncated);
   w.u64(s.monitorStatesPeak);
   w.u64(s.prunedMonitorStates);
-  w.u64(s.beamPrunedNodes);
+  w.u64(0);  // once the beam approximation's pruned-node count
   w.boolean(s.approximated);
   w.u64(s.internHits);
   w.u64(s.internMisses);
@@ -353,7 +379,7 @@ bool readStats(ckpt::Reader& r, LatticeStats& s) {
   s.truncated = r.boolean();
   s.monitorStatesPeak = static_cast<std::size_t>(r.u64());
   s.prunedMonitorStates = static_cast<std::size_t>(r.u64());
-  s.beamPrunedNodes = static_cast<std::size_t>(r.u64());
+  (void)r.u64();  // once the beam approximation's pruned-node count
   s.approximated = r.boolean();
   s.internHits = r.u64();
   s.internMisses = r.u64();
@@ -529,6 +555,7 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
   (void)r.u64();  // the state arena's hit tally in older blobs
 
   msets_.clear();
+  retained_.clear();
   const std::uint64_t msetCount = r.len(8);
   for (std::uint64_t i = 0; i < msetCount && r.ok(); ++i) {
     const std::uint64_t n = r.len(8);
@@ -578,7 +605,10 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
       return false;
     }
   }
-  liveFrontierBytes_ = r.u64();
+  // The budget ladder charges this tally on the next level, so it comes
+  // from the restored frontier, not from the untrusted blob.
+  liveFrontierBytes_ = detail::frontierBytes(frontier_, opts_.recordPaths);
+  if (r.u64() != liveFrontierBytes_) return false;
 
   if (!readStats(r, stats_)) return false;
 

@@ -16,20 +16,20 @@
 // every message no frontier cut can reach again.  Per-level bookkeeping
 // costs O(threads), not O(messages received), so a long stream is
 // analyzed in time linear in its length, with a message buffer bounded by
-// the live window (DESIGN.md §5f).  The offline ComputationLattice is the
-// batch special case of this; the tests assert they produce identical
-// verdicts and statistics.
+// the live window (DESIGN.md §5f).  This is the only level loop: the
+// offline ComputationLattice (lattice.hpp) is a driver that feeds a
+// finalized graph's messages in observed order, then calls endOfTrace().
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "observer/checkpoint.hpp"
 #include "observer/global_state.hpp"
-#include "observer/lattice.hpp"
+#include "observer/intern.hpp"
+#include "observer/lattice_types.hpp"
 #include "trace/channel.hpp"
 
 namespace mpx::observer {
@@ -85,6 +85,12 @@ class OnlineAnalyzer final : public trace::MessageSink {
 
   [[nodiscard]] const LatticeStats& stats() const noexcept { return stats_; }
 
+  /// Retained levels (only with Retention::kFull; throws std::logic_error
+  /// otherwise).  levels()[L] holds level L's nodes sorted by cut.  A level
+  /// that trips the width cap is not retained, and a restore() starts the
+  /// view afresh (retained levels are not part of the checkpoint).
+  [[nodiscard]] const std::vector<std::vector<LevelNode>>& levels() const;
+
   /// Messages received but not yet folded into the frontier: the sum over
   /// threads j of (messages of j received - consumedK()[j]).
   [[nodiscard]] std::size_t pendingMessages() const noexcept {
@@ -123,13 +129,21 @@ class OnlineAnalyzer final : public trace::MessageSink {
   /// section held every state the run had visited restore the same way.  A
   /// blob whose message section still holds consumed messages (written
   /// before they were released) restores to the same state; those
-  /// messages are freed.
+  /// messages are freed.  The frontier's accounted bytes are recomputed
+  /// from the restored frontier, and a blob whose stored tally disagrees is
+  /// rejected.
   /// Returns false on any version/bounds/decode mismatch — the input is an
   /// untrusted snapshot file, and a failed restore leaves the analyzer
   /// unusable (discard it).
   [[nodiscard]] bool restore(ckpt::Reader& r);
 
  private:
+  /// Both public constructors delegate here, so level 0 sees the bus (its
+  /// violation filter and node dispatch) like every later level.
+  OnlineAnalyzer(StateSpace space, std::size_t threads,
+                 LatticeMonitor* monitor, AnalysisBus* bus,
+                 LatticeOptions opts);
+
   /// The k-th (1-based) message of thread j, if present.
   [[nodiscard]] const trace::Message* find(ThreadId j, LocalSeq k) const;
 
@@ -148,13 +162,15 @@ class OnlineAnalyzer final : public trace::MessageSink {
   /// frontier cut includes has already arrived, so the lookup never misses.
   [[nodiscard]] std::uint64_t observedPathKey(const Cut& cut) const;
   [[nodiscard]] parallel::ThreadPool* poolForRun();
+  /// Copies frontier_ into retained_[level] under Retention::kFull.
+  void retainLevel(std::uint64_t level);
   /// Marks the analysis finished: snapshots intern stats and runs the
   /// plugins' finish() hooks (once).
   void finalize();
 
   StateSpace space_;
   LatticeMonitor* monitor_;
-  AnalysisBus* bus_ = nullptr;
+  AnalysisBus* bus_;
   LatticeOptions opts_;
   MonitorSetArena msets_;
   /// buffered_[j][k] = thread j's k-th message, for k >= minK_[j] (sparse
@@ -179,6 +195,7 @@ class OnlineAnalyzer final : public trace::MessageSink {
   std::uint64_t liveFrontierBytes_ = 0;
   LatticeStats stats_;
   std::vector<Violation> violations_;
+  std::vector<std::vector<LevelNode>> retained_;
   /// Lazily created when opts_.parallel asks for jobs > 1 and no external
   /// pool was injected.
   std::unique_ptr<parallel::ThreadPool> ownedPool_;

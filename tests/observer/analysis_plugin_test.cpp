@@ -13,6 +13,8 @@
 
 #include "../support/fixtures.hpp"
 #include "observer/lattice.hpp"
+#include "observer/observer_metrics.hpp"
+#include "observer/online.hpp"
 
 namespace mpx::observer {
 namespace {
@@ -200,6 +202,21 @@ TEST(AnalysisPlugin, RejectedViolationsAreNotRecorded) {
       EXPECT_TRUE(violations.empty());
     }
   }
+}
+
+TEST(AnalysisPlugin, RejectedLevelZeroViolationIsNeitherRecordedNorCounted) {
+  // x starts at -1 on the xyz computation: the property is violated by the
+  // initial state, and the plugin rejects it.
+  const auto c = xyzComputation();
+  const std::size_t slot = *c.space.slotOf(c.prog.vars.id("x"));
+  SlotChecker checker(slot, -1, false);
+  AnalysisBus bus({&checker});
+  const std::uint64_t counted = ObserverMetrics::get().violations.value();
+
+  OnlineAnalyzer online(c.space, c.prog.threadCount(), bus);
+  ASSERT_EQ(checker.cuts_, std::vector<std::string>{"S00"});
+  EXPECT_TRUE(online.violations().empty());
+  EXPECT_EQ(ObserverMetrics::get().violations.value(), counted);
 }
 
 TEST(AnalysisPlugin, MonitorBusPacksComponentsSideBySide) {

@@ -137,11 +137,19 @@ TEST(Lattice, TruncationOnLevelWidthCap) {
   program::GreedyScheduler sched;
   const auto c = observe(program::corpus::independentWriters(4, 3), sched,
                          {"v0", "v1", "v2", "v3"});
-  LatticeOptions opts;
+  LatticeOptions opts = fullRetention();
   opts.maxNodesPerLevel = 5;
   ComputationLattice lattice(c.graph, c.space, opts);
   const LatticeStats& stats = lattice.build();
   EXPECT_TRUE(stats.truncated);
+  EXPECT_TRUE(stats.bounded());
+  // Level widths are 1, 4, 10, ...: level 2 trips the cap.  It is counted
+  // (levels 0..2, 1 + 4 + 10 nodes) but not retained, and the run stops.
+  EXPECT_EQ(stats.levels, 3u);
+  EXPECT_EQ(stats.totalNodes, 15u);
+  EXPECT_EQ(stats.peakLevelWidth, 10u);
+  EXPECT_EQ(stats.pathCount, 0u);
+  EXPECT_EQ(lattice.levels().size(), 2u);
 }
 
 TEST(Lattice, RenderShowsPaperStyleLabels) {

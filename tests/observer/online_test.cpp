@@ -14,6 +14,7 @@
 #include "logic/monitor.hpp"
 #include "logic/parser.hpp"
 #include "observer/checkpoint.hpp"
+#include "observer/lattice.hpp"
 #include "program/corpus.hpp"
 #include "trace/codec.hpp"
 
@@ -172,6 +173,63 @@ TEST(OnlineAnalyzer, StructureOnlyModeCountsRuns) {
   EXPECT_EQ(online.stats().pathCount, 3u);
   EXPECT_EQ(online.stats().totalNodes, 6u);
   EXPECT_TRUE(online.violations().empty());
+}
+
+/// Each retained node as (cut, state, run count, monitor states).
+using LevelKeys = std::vector<std::vector<std::tuple<
+    std::vector<std::uint32_t>, std::vector<Value>, std::uint64_t,
+    std::vector<MonitorState>>>>;
+
+LevelKeys keysOf(const std::vector<std::vector<LevelNode>>& levels) {
+  LevelKeys out;
+  for (const auto& level : levels) {
+    auto& keys = out.emplace_back();
+    for (const LevelNode& n : level) {
+      keys.emplace_back(n.cut.k, n.state.values, n.pathCount,
+                        n.monitorStates);
+    }
+  }
+  return out;
+}
+
+TEST(OnlineAnalyzer, FullRetentionLevelsIndependentOfArrivalOrder) {
+  const auto c = landingComputation();
+  LatticeOptions opts;
+  opts.retention = Retention::kFull;
+  const auto levelsFor = [&](const std::vector<trace::Message>& order) {
+    logic::SynthesizedMonitor mon(logic::SpecParser(c.space).parse(
+        program::corpus::landingProperty()));
+    OnlineAnalyzer online(c.space, c.prog.threadCount(), &mon, opts);
+    for (const auto& m : order) online.onMessage(m);
+    online.endOfTrace();
+    EXPECT_TRUE(online.finished());
+    return keysOf(online.levels());
+  };
+  auto msgs = messagesInOrder(c.graph);
+  const LevelKeys observed = levelsFor(msgs);
+
+  // Fig. 5: levels of 1, 2, 2 and 1 cuts over <landing,approved,radio>.
+  ASSERT_EQ(observed.size(), 4u);
+  const auto stateAt = [&](std::size_t level, std::size_t i) {
+    return std::get<1>(observed[level][i]);
+  };
+  ASSERT_EQ(observed[0].size(), 1u);
+  EXPECT_EQ(stateAt(0, 0), (std::vector<Value>{0, 0, 1}));
+  ASSERT_EQ(observed[1].size(), 2u);
+  EXPECT_EQ(stateAt(1, 0), (std::vector<Value>{0, 0, 0}));
+  EXPECT_EQ(stateAt(1, 1), (std::vector<Value>{0, 1, 1}));
+  ASSERT_EQ(observed[2].size(), 2u);
+  EXPECT_EQ(stateAt(2, 0), (std::vector<Value>{0, 1, 0}));
+  EXPECT_EQ(stateAt(2, 1), (std::vector<Value>{1, 1, 1}));
+  ASSERT_EQ(observed[3].size(), 1u);
+  EXPECT_EQ(stateAt(3, 0), (std::vector<Value>{1, 1, 0}));
+  EXPECT_EQ(std::get<2>(observed[3][0]), 3u);  // the three runs
+
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 10; ++round) {
+    std::shuffle(msgs.begin(), msgs.end(), rng);
+    EXPECT_EQ(levelsFor(msgs), observed) << "round " << round;
+  }
 }
 
 TEST(OnlineAnalyzer, RandomProgramsMatchBatch) {
@@ -383,6 +441,41 @@ TEST(OnlineWindow, RestoreMidStreamFinishesIdentically) {
   ASSERT_TRUE(restored.finished());
   EXPECT_EQ(restored.violations().size(), ref.violations().size());
   EXPECT_EQ(blobOf(restored), blobOf(ref));
+}
+
+TEST(OnlineWindow, RestoreRejectsForgedFrontierBytes) {
+  // The budget ladder charges the previous frontier's accounted bytes on
+  // the next level, so a blob must not be able to set them.
+  const Stream s = twoThreadStream(2000, 4);
+  LatticeOptions opts;
+  opts.memoryBudgetBytes = 1u << 20;  // never binds on this stream
+  OnlineAnalyzer live(s.space, 2, nullptr, opts);
+  for (std::size_t i = 0; i < s.msgs.size() / 2; ++i) {
+    live.onMessage(s.msgs[i]);
+  }
+  ASSERT_EQ(live.stats().droppedNodes, 0u);
+  const std::vector<std::uint8_t> blob = blobOf(live);
+  {
+    OnlineAnalyzer intact(s.space, 2, nullptr, opts);
+    ckpt::Reader r(blob);
+    ASSERT_TRUE(intact.restore(r));
+  }
+
+  // The blob ends with the frontier's byte tally, the stats block and the
+  // violation count (0: no monitor).
+  constexpr std::size_t kStatsBytes = 157;
+  const std::size_t at = blob.size() - 8 - kStatsBytes - 8;
+  ckpt::Reader tally(blob.data() + at, 8);
+  ASSERT_GT(tally.u64(), 0u);
+  // Claim the frontier fills the whole budget: the next level would shed.
+  std::vector<std::uint8_t> forged = blob;
+  for (std::size_t i = 0; i < 8; ++i) {
+    forged[at + i] =
+        static_cast<std::uint8_t>(opts.memoryBudgetBytes >> (8 * i));
+  }
+  OnlineAnalyzer restored(s.space, 2, nullptr, opts);
+  ckpt::Reader r(forged);
+  EXPECT_FALSE(restored.restore(r));
 }
 
 TEST(OnlineWindow, BlobCarryingConsumedMessagesRestores) {

@@ -53,7 +53,6 @@ void expectSameStats(const LatticeStats& a, const LatticeStats& b) {
   EXPECT_EQ(a.truncated, b.truncated);
   EXPECT_EQ(a.monitorStatesPeak, b.monitorStatesPeak);
   EXPECT_EQ(a.prunedMonitorStates, b.prunedMonitorStates);
-  EXPECT_EQ(a.beamPrunedNodes, b.beamPrunedNodes);
   EXPECT_EQ(a.approximated, b.approximated);
 }
 
