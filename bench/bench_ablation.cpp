@@ -11,7 +11,6 @@
 #include "core/instrumentor.hpp"
 #include "logic/monitor.hpp"
 #include "logic/parser.hpp"
-#include "logic/product_monitor.hpp"
 #include "observer/lattice.hpp"
 #include "observer/online.hpp"
 #include "program/corpus.hpp"
@@ -156,41 +155,6 @@ void BM_Ablation_OnlineVsBatch(benchmark::State& state) {
   state.SetLabel(online ? "online-incremental" : "batch");
 }
 BENCHMARK(BM_Ablation_OnlineVsBatch)->Arg(0)->Arg(1);
-
-void BM_Ablation_MultiPropertyPasses(benchmark::State& state) {
-  // k properties: one combined ProductMonitor pass vs k separate passes.
-  const bool combined = state.range(0) != 0;
-  const Computation c = buildComputation(3, 4);
-  logic::SpecParser parser(c.space);
-  const std::vector<std::string> specs = {
-      "once(v0 >= 1 && v1 >= 1) -> v0 <= v1 + 2",
-      "historically v2 >= 0",
-      "v0 = 4 -> once v1 = 1",
-      "[v1 >= 1, v2 >= 3)" ,
-  };
-  for (auto _ : state) {
-    std::size_t verdicts = 0;
-    if (combined) {
-      logic::ProductMonitor pm;
-      for (const auto& s : specs) pm.add(parser.parse(s));
-      observer::ComputationLattice lattice(c.graph, c.space);
-      std::vector<observer::Violation> violations;
-      lattice.check(pm, violations);
-      verdicts = violations.size();
-    } else {
-      for (const auto& s : specs) {
-        logic::SynthesizedMonitor mon(parser.parse(s));
-        observer::ComputationLattice lattice(c.graph, c.space);
-        std::vector<observer::Violation> violations;
-        lattice.check(mon, violations);
-        verdicts += violations.size();
-      }
-    }
-    benchmark::DoNotOptimize(verdicts);
-  }
-  state.SetLabel(combined ? "one-product-pass" : "k-separate-passes");
-}
-BENCHMARK(BM_Ablation_MultiPropertyPasses)->Arg(0)->Arg(1);
 
 }  // namespace
 

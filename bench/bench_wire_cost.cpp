@@ -1,23 +1,18 @@
-// Clock-backend shootout: flat VectorClock vs TreeClock across the regimes
-// the tree backend was built for, plus the v3-dense vs v4-sparse wire cost
-// on the same streams.
+// Wire cost of Algorithm A's message streams: v3 dense vs v4 sparse clock
+// coding on the same instrumented stream, across thread widths.
 //
-// The container CI runs on one CPU, so the certified artifact is the
-// COUNTER story, not wall-clock: `joins_entries_touched` (work the join
-// actually did) must drop for the tree backend on wide traces, and
-// `wire_bytes` must drop for the sparse coding.  Both are exported as
-// user counters into BENCH_clock_shootout.json; scripts/check_bench.py
-// style gates can diff them without trusting throughput on a loaded box.
+// The certified artifact is the byte counters, not wall-clock:
+// `wire_bytes` (the coding under test) and `wire_bytes_dense` (the dense
+// baseline) are exported as user counters into BENCH_wire_cost.json, and
+// CI asserts that sparse coding never exceeds dense on the wide traces.
 //
 // Patterns:
-//   hot-lock  — every thread hammers one variable: clocks converge fast,
-//               most joins are stale; the tree's root-domination skip and
-//               the flat backend's stale-scan both shine here.
-//   disjoint  — each thread touches only its own variable: joins are all
-//               self-sized; the baseline where no backend can win big.
+//   hot-lock  — every thread hammers one variable: clocks converge fast
+//               and most components stay unchanged between messages.
+//   disjoint  — each thread touches only its own variable: each clock
+//               carries little beyond its own component.
 //   fan-in    — threads write their own variable, one collector thread
-//               sweeps all of them: wide asymmetric joins where the tree's
-//               subtree pruning beats the flat O(width) scan.
+//               sweeps all of them: the collector's clock is dense.
 #include <benchmark/benchmark.h>
 
 #include "bench_support.hpp"
@@ -99,35 +94,6 @@ std::vector<trace::Event> makeSchedule(Pattern p, std::size_t threads,
   return out;
 }
 
-void BM_ClockShootout(benchmark::State& state) {
-  const auto pattern = static_cast<Pattern>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const auto backend = state.range(2) != 0 ? vc::ClockBackend::kTree
-                                           : vc::ClockBackend::kFlat;
-  constexpr std::size_t kRounds = 64;
-  const auto schedule = makeSchedule(pattern, threads, kRounds, 0xC10Cu);
-
-  core::Instrumentor::ClockStats last{};
-  for (auto _ : state) {
-    trace::CollectingSink sink;
-    core::Instrumentor ins(core::RelevancePolicy::allSharedAccesses(), sink,
-                           backend);
-    ins.reserve(threads, threads);
-    for (const trace::Event& e : schedule) ins.onEvent(e);
-    last = ins.clockStats();
-    benchmark::DoNotOptimize(sink.messages().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(schedule.size()));
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["joins"] = static_cast<double>(last.joins);
-  state.counters["joins_entries_touched"] =
-      static_cast<double>(last.joinEntriesTouched);
-  state.counters["stale_joins"] = static_cast<double>(last.staleJoins);
-  state.SetLabel(std::string(patternName(pattern)) + "/" +
-                 (backend == vc::ClockBackend::kTree ? "tree" : "flat"));
-}
-
 void BM_WireCost(benchmark::State& state) {
   // Dense (v3 kEventsTs body) vs sparse (v4 kEventsSparse body) byte cost
   // for the same instrumented stream.  Throughput is secondary on the
@@ -138,8 +104,7 @@ void BM_WireCost(benchmark::State& state) {
   constexpr std::size_t kRounds = 64;
   const auto schedule = makeSchedule(pattern, threads, kRounds, 0xC10Cu);
   trace::CollectingSink sink;
-  core::Instrumentor ins(core::RelevancePolicy::allSharedAccesses(), sink,
-                         vc::ClockBackend::kAuto);
+  core::Instrumentor ins(core::RelevancePolicy::allSharedAccesses(), sink);
   ins.reserve(threads, threads);
   for (const trace::Event& e : schedule) ins.onEvent(e);
   const std::vector<trace::Message> stream = sink.take();
@@ -182,9 +147,8 @@ void registerArgs(benchmark::internal::Benchmark* b) {
   }
 }
 
-BENCHMARK(BM_ClockShootout)->Apply(registerArgs);
 BENCHMARK(BM_WireCost)->Apply(registerArgs);
 
 }  // namespace
 
-MPX_BENCH_MAIN("clock_shootout");
+MPX_BENCH_MAIN("wire_cost");

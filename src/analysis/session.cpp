@@ -7,6 +7,7 @@
 #include "analysis/mhp_prefilter.hpp"
 #include "analysis/report.hpp"
 #include "logic/parser.hpp"
+#include "trace/codec.hpp"
 
 namespace mpx::analysis {
 
@@ -37,6 +38,10 @@ bool readStringList(observer::ckpt::Reader& r,
 }  // namespace
 
 AnalyzerSession::AnalyzerSession(Config cfg) : cfg_(std::move(cfg)) {
+  if (cfg_.threads > trace::BinaryCodec::kMaxClockComponents) {
+    throw std::runtime_error("session thread count " +
+                             std::to_string(cfg_.threads) + " out of range");
+  }
   space_ = observer::StateSpace::byNames(cfg_.vars, cfg_.tracked);
   if (cfg_.expectedStreams == 0) cfg_.expectedStreams = 1;
   // One SpecAnalysis plugin per property on one shared bus — all K

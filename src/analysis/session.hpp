@@ -66,8 +66,11 @@ class AnalyzerSession {
   };
 
   /// Builds the full stack for `cfg`.  Throws std::runtime_error when the
-  /// specs or tracked variables are unusable (the daemon turns this into a
-  /// handshake rejection).
+  /// specs or tracked variables are unusable, or when `cfg.threads`
+  /// exceeds trace::BinaryCodec::kMaxClockComponents (no message of a
+  /// wider thread could decode, and the session's per-thread tables would
+  /// be sized by a hostile count).  The daemon turns this into a handshake
+  /// rejection.
   explicit AnalyzerSession(Config cfg);
 
   /// Validates and feeds one message.  On kError a static reason is left

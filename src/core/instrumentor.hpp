@@ -27,35 +27,26 @@
 #include "core/relevance.hpp"
 #include "trace/channel.hpp"
 #include "trace/event.hpp"
-#include "vc/clock.hpp"
 #include "vc/vector_clock.hpp"
 
 namespace mpx::core {
 
 class Instrumentor {
  public:
-  /// Clock-backend work counters, accumulated per instrumentor (not via
-  /// the telemetry registry — the shootout bench compares instrumentor
-  /// instances side by side, and the registry would merge them).
+  /// Clock work counters, accumulated per instrumentor (not via the
+  /// telemetry registry, which would merge the figures of every
+  /// instrumentor in the process; perfbench reads them per run).
   struct ClockStats {
     std::uint64_t joins = 0;           ///< joinWith calls (steps 2-3)
     std::uint64_t joinEntriesTouched = 0;  ///< component slots examined
     std::uint64_t staleJoins = 0;      ///< joins that changed nothing
   };
 
-  /// `sink` receives the <e, i, V_i> messages for relevant events.  The
-  /// clock `backend` defaults to kAuto: flat for traces whose declared
-  /// thread count fits the SBO clock, tree beyond (resolved at reserve();
-  /// an instrumentor that is never reserve()d stays flat).
-  Instrumentor(RelevancePolicy relevance, trace::MessageSink& sink,
-               vc::ClockBackend backend = vc::ClockBackend::kAuto)
-      : relevance_(std::move(relevance)),
-        sink_(&sink),
-        requestedBackend_(backend) {}
+  /// `sink` receives the <e, i, V_i> messages for relevant events.
+  Instrumentor(RelevancePolicy relevance, trace::MessageSink& sink)
+      : relevance_(std::move(relevance)), sink_(&sink) {}
 
   /// Pre-size clock tables (optional; everything also grows lazily).
-  /// Resolves a kAuto backend against `threads` — the selection point the
-  /// clock-backend facade documents in DESIGN.md.
   void reserve(std::size_t threads, std::size_t vars);
 
   /// Causality projection: accesses of these variables still tick and emit
@@ -92,10 +83,6 @@ class Instrumentor {
     return messagesEmitted_;
   }
 
-  /// The backend actually in use (kAuto is resolved by reserve()).
-  [[nodiscard]] vc::ClockBackend clockBackend() const noexcept {
-    return backend_;
-  }
   [[nodiscard]] const ClockStats& clockStats() const noexcept {
     return clockStats_;
   }
@@ -112,12 +99,9 @@ class Instrumentor {
   RelevancePolicy relevance_;
   trace::MessageSink* sink_;
   std::unordered_set<VarId> causalityExcluded_;
-  vc::ClockBackend requestedBackend_;
-  vc::ClockBackend backend_ = vc::ClockBackend::kFlat;
-  bool backendResolved_ = false;
-  std::vector<vc::Clock> vi_;  ///< V_i, by thread
-  std::vector<vc::Clock> va_;  ///< V^a_x, by variable
-  std::vector<vc::Clock> vw_;  ///< V^w_x, by variable
+  std::vector<vc::VectorClock> vi_;  ///< V_i, by thread
+  std::vector<vc::VectorClock> va_;  ///< V^a_x, by variable
+  std::vector<vc::VectorClock> vw_;  ///< V^w_x, by variable
   ClockStats clockStats_;
   std::uint64_t eventsProcessed_ = 0;
   std::uint64_t messagesEmitted_ = 0;

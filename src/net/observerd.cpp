@@ -550,7 +550,8 @@ bool ObserverDaemon::handleHandshake(Conn& conn, const Frame& frame,
           std::make_unique<analysis::AnalyzerSession>(std::move(cfg));
       it = sessions_.emplace(key, std::move(ss)).first;
     } catch (const std::exception&) {
-      *error = "handshake rejected: unusable spec or variable set";
+      *error =
+          "handshake rejected: unusable spec, variable set or thread count";
       return false;
     }
     if constexpr (telemetry::kEnabled) {

@@ -7,8 +7,8 @@
 //
 //   * the raw instrumented event stream (onRawEvent / onObservedState),
 //   * an optional monitor component packed into the per-node monitor word
-//     (monitor(), via MonitorBus — the multi-analysis generalization of
-//     logic::ProductMonitor), and
+//     (monitor(), via MonitorBus, so K properties share one lattice pass),
+//     and
 //   * every completed lattice node (onNode), with interned state and
 //     monitor-state-set pointers so plugins can dedupe by pointer.
 //
@@ -149,8 +149,7 @@ class Analysis {
 
 /// Packs the monitor components of several plugins side by side in the
 /// 64-bit per-node monitor word (LatticeMonitor::stateBits() declares each
-/// component's width).  The engine-internal generalization of
-/// logic::ProductMonitor: advance/isViolating/canEverViolate fan out to
+/// component's width).  advance/isViolating/canEverViolate fan out to
 /// every component, and extract() recovers one plugin's slice.
 class MonitorBus final : public LatticeMonitor {
  public:

@@ -98,8 +98,6 @@ ThreadState& ShardedThreadRegistry::current() {
   if (slot == nullptr) {
     slot = std::make_unique<ThreadState>();
     slot->id = next_.fetch_add(1, std::memory_order_acq_rel);
-    slot->vi = vc::Clock(backend_);
-    slot->vi.setOwner(slot->id);
     if constexpr (telemetry::kEnabled) {
       RuntimeMetrics::get().threads.recordMax(
           static_cast<std::int64_t>(slot->id) + 1);
@@ -109,12 +107,7 @@ ThreadState& ShardedThreadRegistry::current() {
   return *slot;
 }
 
-Runtime::Runtime(trace::MessageSink& sink, vc::ClockBackend backend)
-    : clockBackend_(vc::resolveBackend(backend, /*threads=*/0)), sink_(&sink) {
-  // kAuto resolves against "unknown width" => flat: real-thread programs
-  // register threads dynamically, so there is no declared count to select
-  // on.  Callers that know they are wide pass kTree explicitly.
-  registry_.setClockBackend(clockBackend_);
+Runtime::Runtime(trace::MessageSink& sink) : sink_(&sink) {
   if constexpr (telemetry::kEnabled) {
     RuntimeMetrics::get();  // register the runtime metric names up front
     EventMetrics::get();
@@ -125,11 +118,7 @@ VarId Runtime::internVar(const std::string& name, Value initial,
                          trace::VarRole role) {
   std::unique_lock lk(structMu_);
   const VarId id = vars_.intern(name, initial, role);
-  while (id >= varStates_.size()) {
-    varStates_.emplace_back();
-    varStates_.back().va = vc::Clock(clockBackend_);
-    varStates_.back().vw = vc::Clock(clockBackend_);
-  }
+  while (id >= varStates_.size()) varStates_.emplace_back();
   varStates_[id].value = initial;
   return id;
 }
@@ -231,10 +220,7 @@ Value Runtime::processEvent(trace::EventKind kind, VarId v, Value writeValue) {
     if (it != ts.heldLocks.end()) ts.heldLocks.erase(it);
   }
 
-  // Algorithm A (paper Fig. 2).  Shadow-epoch tick first (tree backend):
-  // every knowledge state this event publishes gets a unique label.
-  ts.vi.onEventStart();
-  // Step 1: tick if relevant.
+  // Algorithm A (paper Fig. 2).  Step 1: tick if relevant.
   const bool relevant = trace::isWriteLike(kind) && relevant_.contains(v);
   if (relevant) ts.vi.increment(ts.id);
   if (kind == trace::EventKind::kRead) {
@@ -245,8 +231,8 @@ Value Runtime::processEvent(trace::EventKind kind, VarId v, Value writeValue) {
     // Step 3 (writes and write-like sync events, §3.1):
     // V^w_x <- V^a_x <- V_i <- max{V^a_x, V_i}.
     ts.vi.joinWith(vs.va);
-    vs.va.assignFrom(ts.vi);
-    vs.vw.assignFrom(ts.vi);
+    vs.va = ts.vi;
+    vs.vw = ts.vi;
   }
 
   if (recording_.load(std::memory_order_relaxed)) {
@@ -258,7 +244,7 @@ Value Runtime::processEvent(trace::EventKind kind, VarId v, Value writeValue) {
   if (relevant) {
     messagesEmitted_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> slk(sinkMu_);
-    sink_->onMessage(trace::Message{e, ts.vi.flat()});
+    sink_->onMessage(trace::Message{e, ts.vi});
   }
 
   if constexpr (telemetry::kEnabled) {
@@ -311,7 +297,6 @@ void Runtime::regionMarker(trace::EventKind kind, Value regionId) {
 
   // Region markers are unconditionally relevant: tick and emit, no joins
   // (the event accesses no variable, so Algorithm A steps 2-3 are vacuous).
-  ts.vi.onEventStart();
   ts.vi.increment(ts.id);
 
   if (recording_.load(std::memory_order_relaxed)) {
@@ -322,7 +307,7 @@ void Runtime::regionMarker(trace::EventKind kind, Value regionId) {
   messagesEmitted_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> slk(sinkMu_);
-    sink_->onMessage(trace::Message{e, ts.vi.flat()});
+    sink_->onMessage(trace::Message{e, ts.vi});
   }
 
   if constexpr (telemetry::kEnabled) {

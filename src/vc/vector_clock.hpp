@@ -41,7 +41,7 @@ enum class Ordering : std::uint8_t {
 };
 
 /// What one in-place join did: how many component slots the join examined
-/// (the unit the clock-backend shootout compares across backends) and
+/// (Algorithm A's join counters sum it into vc.join_entries_per_event) and
 /// whether any component actually grew.  A join with changed == false is a
 /// "stale" join — the common Algorithm A case of re-reading a variable
 /// whose write clock the thread already absorbed.

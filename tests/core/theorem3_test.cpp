@@ -6,6 +6,8 @@
 // causality is exactly ≺ restricted to R × R.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/instrumentor.hpp"
 #include "core/reference.hpp"
 #include "program/corpus.hpp"
@@ -23,10 +25,11 @@ struct RunResult {
   RelevancePolicy policy = RelevancePolicy::nothing();
 };
 
-RunResult run(std::uint64_t seed, bool locks, bool readsRelevant) {
+RunResult run(std::uint64_t seed, bool locks, bool readsRelevant,
+              std::size_t threads = 3) {
   RunResult s;
   program::corpus::RandomProgramOptions opts;
-  opts.threads = 3;
+  opts.threads = threads;
   opts.vars = 3;
   opts.opsPerThread = 7;
   opts.locks = locks ? 2 : 0;
@@ -55,14 +58,22 @@ struct Theorem3Case {
   std::uint64_t seed;
   bool locks;
   bool readsRelevant;
+  /// Above VectorClock::kInlineComponents (8) the clocks live on the heap.
+  std::uint32_t threads = 3;
 };
 
 class Theorem3Sweep : public ::testing::TestWithParam<Theorem3Case> {};
 
 TEST_P(Theorem3Sweep, ClockOrderEqualsRelevantCausality) {
   const auto c = GetParam();
-  const RunResult s = run(c.seed, c.locks, c.readsRelevant);
+  const RunResult s = run(c.seed, c.locks, c.readsRelevant, c.threads);
   ASSERT_FALSE(s.messages.empty());
+  if (c.threads > vc::VectorClock::kInlineComponents) {
+    EXPECT_TRUE(std::any_of(
+        s.messages.begin(), s.messages.end(),
+        [](const trace::Message& m) { return !m.clock.isInline(); }))
+        << "no message carries a heap-backed clock";
+  }
   const ReferenceCausality ref(s.rec.events);
 
   for (std::size_t a = 0; a < s.messages.size(); ++a) {
@@ -84,7 +95,7 @@ TEST_P(Theorem3Sweep, ClockOrderEqualsRelevantCausality) {
 
 TEST_P(Theorem3Sweep, ConcurrencyIsClockIncomparability) {
   const auto c = GetParam();
-  const RunResult s = run(c.seed, c.locks, c.readsRelevant);
+  const RunResult s = run(c.seed, c.locks, c.readsRelevant, c.threads);
   const ReferenceCausality ref(s.rec.events);
   for (std::size_t a = 0; a < s.messages.size(); ++a) {
     for (std::size_t b = a + 1; b < s.messages.size(); ++b) {
@@ -106,11 +117,18 @@ INSTANTIATE_TEST_SUITE_P(
                       Theorem3Case{105, false, true},
                       Theorem3Case{106, true, true},
                       Theorem3Case{107, true, true},
-                      Theorem3Case{108, false, true}),
+                      Theorem3Case{108, false, true},
+                      Theorem3Case{201, false, false, 9},
+                      Theorem3Case{202, true, true, 9},
+                      Theorem3Case{203, true, false, 16},
+                      Theorem3Case{204, false, true, 16}),
     [](const ::testing::TestParamInfo<Theorem3Case>& info) {
       return "seed" + std::to_string(info.param.seed) +
              (info.param.locks ? "_locks" : "") +
-             (info.param.readsRelevant ? "_reads" : "");
+             (info.param.readsRelevant ? "_reads" : "") +
+             (info.param.threads != 3
+                  ? "_t" + std::to_string(info.param.threads)
+                  : "");
     });
 
 TEST(Theorem3, SameThreadMessagesAreTotallyOrdered) {

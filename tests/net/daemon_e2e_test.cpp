@@ -329,6 +329,17 @@ TEST(NetDaemonE2E, ProtocolViolationsAreRejectedNotFatal) {
   ASSERT_TRUE(eventually([&] { return daemon.connectionsRejected() >= 1; }));
 
   {
+    // A handshake declaring 2^24 threads: wider than any decodable clock,
+    // so it is refused before the session would size its tables by it.
+    Socket s = rawClient(daemon.port());
+    sendFrame(s, FrameType::kHandshake,
+              encodeHandshake(makeHandshake(1u << 24, "", {"x"}, vars)));
+    s.shutdownWrite();
+  }
+  ASSERT_TRUE(eventually([&] { return daemon.connectionsRejected() >= 2; }));
+  EXPECT_EQ(daemon.sessionCount(), 0u);
+
+  {
     // Message from a thread the handshake never declared.
     trace::Message m;
     m.event.thread = 9;

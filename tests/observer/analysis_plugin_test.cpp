@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -242,6 +243,11 @@ TEST(AnalysisPlugin, MonitorBusPacksComponentsSideBySide) {
   // y reaches 1 earlier than x on this computation, so the y component
   // fires at cuts where the x component does not.
   EXPECT_NE(xChecker.cuts_, yChecker.cuts_);
+
+  // The packed word holds 64 one-bit components; the 65th is rejected.
+  MonitorBus full;
+  for (int i = 0; i < 64; ++i) full.add(&xChecker, xChecker.monitor());
+  EXPECT_THROW(full.add(&xChecker, xChecker.monitor()), std::invalid_argument);
 }
 
 TEST(AnalysisPlugin, ReportsComeBackInPluginOrder) {
