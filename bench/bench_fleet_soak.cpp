@@ -67,7 +67,6 @@ analysis::AnalyzerSession::Config sessionConfig() {
   cfg.tracked = {"g0", "g1"};
   cfg.vars.intern("g0", 0);
   cfg.vars.intern("g1", 1);
-  cfg.lattice.parallel.jobs = 1;
   return cfg;
 }
 

@@ -153,10 +153,6 @@ int analyze(const std::string& name, int argc, char** argv) {
   else if (delivery == "reverse")
     config.delivery = trace::DeliveryPolicy::kReverse;
   const bool wantLattice = hasFlag(argc, argv, "--lattice");
-  // --jobs N: expand lattice levels on N pool workers (1 = serial,
-  // 0 = one per hardware thread).  Verdicts are identical either way.
-  config.lattice.parallel.jobs =
-      std::stoull(argValue(argc, argv, "--jobs").value_or("1"));
   // --memory-budget BYTES / --max-frontier N: bound the accounted working
   // set / per-level width.  When either bound trips, the engine degrades
   // (sampled frontier, then observed-path-only) instead of crashing, the
@@ -405,7 +401,7 @@ int main(int argc, char** argv) {
                  " [--property S]... [--seed N]\n"
                  "               [--schedule greedy|roundrobin|random|observed]\n"
                  "               [--delivery fifo|shuffle|delay|reverse]"
-                 " [--lattice] [--dot] [--json] [--jobs N]\n"
+                 " [--lattice] [--dot] [--json]\n"
                  "               [--memory-budget BYTES] [--max-frontier N]"
                  " [--atomicity] [--mhp-prefilter] [--track VAR]...\n"
                  "       mpx_cli explore <program> [--spec S]\n"

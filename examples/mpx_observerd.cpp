@@ -4,7 +4,7 @@
 // feeds them into an OnlineAnalyzer and prints the violation report when the
 // trace completes or the daemon is told to shut down.
 //
-//   mpx_observerd [--port N] [--jobs N] [--streams N] [--property SPEC]...
+//   mpx_observerd [--port N] [--streams N] [--property SPEC]...
 //                 [--analysis NAME]... [--memory-budget BYTES]
 //                 [--max-frontier N] [--max-conns N]
 //                 [--max-conns-per-tenant N] [--checkpoint PATH]
@@ -13,7 +13,6 @@
 //
 //   --port N     listen on 127.0.0.1:N (default 0 = ephemeral; the chosen
 //                port is printed on startup either way)
-//   --jobs N     parallel lattice-level expansion inside the analyzer
 //   --streams N  kEndOfTrace frames to await before finalizing (a client
 //                spreading its trace over N channels sends one per channel)
 //   --property SPEC
@@ -89,7 +88,7 @@ void onSignal(int) { g_stop = 1; }
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port N] [--jobs N] [--streams N] "
+               "usage: %s [--port N] [--streams N] "
                "[--property SPEC]... [--analysis NAME]... "
                "[--memory-budget BYTES] "
                "[--max-frontier N] [--max-conns N] "
@@ -118,8 +117,6 @@ int main(int argc, char** argv) {
       const long v = argValue(argc, argv, i, argv[0]);
       if (v > 65535) usage(argv[0]);
       opts.port = static_cast<std::uint16_t>(v);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.jobs = static_cast<std::size_t>(argValue(argc, argv, i, argv[0]));
     } else if (std::strcmp(argv[i], "--streams") == 0) {
       const long v = argValue(argc, argv, i, argv[0]);
       if (v < 1) usage(argv[0]);
@@ -180,9 +177,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned>(opts.port));
     return 2;
   }
-  std::printf("mpx_observerd: listening on 127.0.0.1:%u (streams=%zu jobs=%zu)\n",
-              static_cast<unsigned>(daemon.port()), opts.expectedStreams,
-              opts.jobs);
+  std::printf("mpx_observerd: listening on 127.0.0.1:%u (streams=%zu)\n",
+              static_cast<unsigned>(daemon.port()), opts.expectedStreams);
   std::fflush(stdout);
 
   std::signal(SIGTERM, onSignal);

@@ -152,9 +152,7 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
     w.u8(static_cast<std::uint8_t>(cfg_.vars.role(v)));
   }
   w.u64(cfg_.expectedStreams);
-  // Lattice options that are part of the analysis identity.  The parallel
-  // jobs count is a runtime choice — serialized as a default the restoring
-  // daemon may override.
+  // Lattice options that are part of the analysis identity.
   const observer::LatticeOptions& lat = cfg_.lattice;
   w.u8(static_cast<std::uint8_t>(lat.retention));
   w.u64(lat.maxNodesPerLevel);
@@ -164,8 +162,8 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
   w.u64(lat.memoryBudgetBytes);
   w.u64(lat.maxFrontier);
   w.u64(lat.degradationSeed);
-  w.u64(lat.parallel.jobs);
-  w.u64(lat.parallel.minFrontier);
+  w.u64(0);  // once the parallel jobs count; no longer an option
+  w.u64(0);  // once the parallel minimum frontier
   // Session bookkeeping.
   w.u64(streamsEnded_);
   w.boolean(finished_);
@@ -189,7 +187,7 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
 }
 
 std::unique_ptr<AnalyzerSession> AnalyzerSession::restore(
-    observer::ckpt::Reader& r, std::size_t jobs) {
+    observer::ckpt::Reader& r) {
   if (r.u8() != kSessionCkptVersion) return nullptr;
   Config cfg;
   cfg.threads = r.u32();
@@ -225,9 +223,8 @@ std::unique_ptr<AnalyzerSession> AnalyzerSession::restore(
   cfg.lattice.memoryBudgetBytes = static_cast<std::size_t>(r.u64());
   cfg.lattice.maxFrontier = static_cast<std::size_t>(r.u64());
   cfg.lattice.degradationSeed = r.u64();
-  cfg.lattice.parallel.jobs = static_cast<std::size_t>(r.u64());
-  cfg.lattice.parallel.minFrontier = static_cast<std::size_t>(r.u64());
-  if (jobs > 0) cfg.lattice.parallel.jobs = jobs;
+  (void)r.u64();  // once the parallel jobs count
+  (void)r.u64();  // once the parallel minimum frontier
   if (cfg.threads == 0 || !r.ok()) return nullptr;
 
   std::unique_ptr<AnalyzerSession> s;

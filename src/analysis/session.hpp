@@ -139,12 +139,8 @@ class AnalyzerSession {
   /// version/decode mismatch (snapshot files are untrusted input).  The
   /// returned session's restoreCount() is one higher than the
   /// checkpointed session's.
-  ///
-  /// `jobs` overrides the lattice parallelism (a runtime choice of the
-  /// restoring daemon, not part of the analysis identity); 0 keeps the
-  /// checkpointed value.
   [[nodiscard]] static std::unique_ptr<AnalyzerSession> restore(
-      observer::ckpt::Reader& r, std::size_t jobs = 0);
+      observer::ckpt::Reader& r);
 
  private:
   Config cfg_;

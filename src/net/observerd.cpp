@@ -232,7 +232,7 @@ bool ObserverDaemon::start() {
       std::lock_guard<std::mutex> lk(mu_);
       for (const SnapshotEntry& e : entries) {
         observer::ckpt::Reader r(e.blob.data(), e.blob.size());
-        auto session = analysis::AnalyzerSession::restore(r, opts_.jobs);
+        auto session = analysis::AnalyzerSession::restore(r);
         if (session == nullptr) {
           logError("checkpoint session blob unusable; skipping");
           continue;
@@ -543,7 +543,6 @@ bool ObserverDaemon::handleHandshake(Conn& conn, const Frame& frame,
     cfg.analyses = opts_.analyses;
     cfg.expectedStreams = opts_.expectedStreams;
     cfg.lattice = opts_.lattice;
-    if (opts_.jobs > 0) cfg.lattice.parallel.jobs = opts_.jobs;
     try {
       SessionState ss;
       ss.session =

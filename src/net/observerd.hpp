@@ -134,8 +134,6 @@ struct DaemonOptions {
   /// kEndOfTrace frames to collect before finalizing a session.  A client
   /// using N channels (connections) sends one per connection.
   std::size_t expectedStreams = 1;
-  /// Parallel level expansion inside each OnlineAnalyzer (mpx_cli --jobs).
-  std::size_t jobs = 1;
   std::size_t maxFramePayload = kDefaultMaxFramePayload;
   observer::LatticeOptions lattice;
   /// Properties checked IN ADDITION to the ones a handshake carries

@@ -139,70 +139,27 @@ bool AnalysisBus::acceptViolation(Violation& v) {
 }
 
 void AnalysisBus::dispatchLevel(const detail::Frontier& frontier,
-                                std::uint64_t level, MonitorSetArena& msets,
-                                parallel::ThreadPool* pool,
-                                std::size_t minFrontier) {
+                                std::uint64_t level, MonitorSetArena& msets) {
   if (!wantsNodes_) return;
   telemetry::ScopedTimer timer(AnalysisMetrics::get().nodeDispatchNs);
 
-  // Snapshot sorted by cut: the deterministic node order every jobs count
-  // observes (directly, or re-assembled by the chunk-order merge).
+  // Sorted by cut: the node order is a pure function of the lattice.
   std::vector<const std::pair<const Cut, detail::FrontierNode>*> items;
   items.reserve(frontier.size());
   for (const auto& kv : frontier) items.push_back(&kv);
   std::sort(items.begin(), items.end(),
             [](const auto* a, const auto* b) { return a->first.k < b->first.k; });
 
-  // Intern each node's monitor-state set (orchestrator thread: the arena
-  // is single-threaded by design).
-  std::vector<NodeView> views(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& [cut, node] = *items[i];
+  for (const auto* kv : items) {
+    const auto& [cut, node] = *kv;
     std::vector<MonitorState> ms;
     ms.reserve(node.mstates.size());
     for (const auto& [m, witness] : node.mstates) ms.push_back(m);
-    views[i] = NodeView{&cut, &node.state, node.pathCount, level,
+    const NodeView view{&cut, &node.state, node.pathCount, level,
                         msets.intern(std::move(ms))};
-  }
-
-  std::vector<Analysis*> observers;
-  for (Analysis* p : plugins_) {
-    if (p->wantsNodes()) observers.push_back(p);
-  }
-
-  const bool concurrent = pool != nullptr && pool->workers() > 1 &&
-                          views.size() >= minFrontier;
-  if (concurrent) {
-    const std::size_t chunks = pool->workers();
-    std::vector<std::vector<std::unique_ptr<Analysis>>> forks(chunks);
-    bool forkable = true;
-    for (std::size_t c = 0; c < chunks && forkable; ++c) {
-      for (Analysis* o : observers) {
-        auto f = o->fork();
-        if (f == nullptr) {
-          forkable = false;  // plugin can't fork: whole level goes serial
-          break;
-        }
-        forks[c].push_back(std::move(f));
-      }
+    for (Analysis* p : plugins_) {
+      if (p->wantsNodes()) p->onNode(view);
     }
-    if (forkable) {
-      pool->parallelFor(views.size(), [&](std::size_t begin, std::size_t end,
-                                          std::size_t c) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (auto& f : forks[c]) f->onNode(views[i]);
-        }
-      });
-      for (std::size_t c = 0; c < chunks; ++c) {
-        for (std::size_t o = 0; o < observers.size(); ++o) {
-          observers[o]->merge(*forks[c][o]);
-        }
-      }
-      return;
-    }
-  }
-  for (const NodeView& view : views) {
-    for (Analysis* o : observers) o->onNode(view);
   }
 }
 

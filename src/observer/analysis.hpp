@@ -18,19 +18,15 @@
 //                   onViolation as violating tokens first enter a node,
 //                   onNode per completed node] -> finish -> report
 //
-// Determinism contract: onViolation and merge() run ONLY on the
-// orchestrator thread.  In parallel runs (`--jobs N`) node dispatch forks
-// worker-local plugin instances via fork(); the engine sorts each level's
-// nodes by cut, splits them into contiguous chunks (a pure function of
-// (size, workers)), runs onNode on the chunk's fork, and merges the forks
-// back in chunk-index order — so a plugin whose merge() is
-// order-respecting observes the exact serial node order, and any jobs
-// count yields the same report.
+// Node order: every level's nodes are dispatched sorted by cut, on the
+// thread that drives the analyzer, so a plugin's observations are a pure
+// function of the lattice and a checkpoint/restore round trip (which
+// rebuilds the frontier in a different internal layout) sees the same
+// order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,7 +58,7 @@ struct AnalysisReport {
   std::string name;  ///< instance name, e.g. "ptltl: [](!p -> [*] !q)"
   std::string kind;  ///< "ptltl" | "race" | "deadlock" | "lasso" | custom
   std::size_t violationCount = 0;
-  std::string text;  ///< canonical rendered findings (stable across jobs)
+  std::string text;  ///< canonical rendered findings
 };
 
 /// Base class of every checker.  All hooks are optional except
@@ -105,7 +101,7 @@ class Analysis {
   /// A violating monitor token first entered a node.  `componentState` is
   /// this plugin's slice of the token (MonitorBus::extract).  Return true
   /// to accept: the engine records the violation (and counts it) iff some
-  /// plugin accepts.  Orchestrator thread only — no locking needed.
+  /// plugin accepts.
   virtual bool onViolation(const Violation& v, MonitorState componentState) {
     (void)v;
     (void)componentState;
@@ -116,22 +112,14 @@ class Analysis {
   [[nodiscard]] virtual bool wantsNodes() const { return false; }
   virtual void onNode(const NodeView& node) { (void)node; }
 
-  /// Worker-local clone for parallel node dispatch.  Returning null forces
-  /// serial dispatch for every plugin on that level (correct, just slower).
-  [[nodiscard]] virtual std::unique_ptr<Analysis> fork() { return nullptr; }
-
-  /// Folds a fork's observations back, called in chunk-index order on the
-  /// orchestrator thread.
-  virtual void merge(Analysis& fork) { (void)fork; }
-
   /// The expansion is complete (or was truncated — see stats.truncated).
   virtual void finish(const LatticeStats& stats) { (void)stats; }
 
   /// Serializes the plugin's accumulated observations for a session
   /// checkpoint (observer/checkpoint.hpp).  Each implementation writes a
   /// leading version byte of its own; the default writes nothing — a
-  /// stateless plugin round-trips for free.  Orchestrator thread only,
-  /// between levels (never concurrent with dispatch).
+  /// stateless plugin round-trips for free.  Called between levels, never
+  /// from inside a dispatch.
   virtual void checkpoint(ckpt::Writer& w) const { (void)w; }
 
   /// Inverse of checkpoint(): replaces the plugin's state wholesale from a
@@ -187,8 +175,7 @@ class MonitorBus final : public LatticeMonitor {
 
 /// The engine-facing bundle of one pass's plugins: owns the MonitorBus,
 /// filters violations through the owning plugins, dispatches completed
-/// nodes (serial or forked), and collects reports.  Non-owning — plugins
-/// must outlive the bus.
+/// nodes, and collects reports.  Non-owning — plugins must outlive the bus.
 class AnalysisBus {
  public:
   explicit AnalysisBus(std::vector<Analysis*> plugins);
@@ -204,11 +191,10 @@ class AnalysisBus {
   }
 
   /// Routes a violating token to the plugins whose components violate.
-  /// True iff some plugin accepted (the engine then records `v`).
-  /// Orchestrator thread only.  The violation is mutable: when a state
-  /// lift is installed (see setStateLift) it is applied BEFORE any plugin
-  /// sees the violation, so plugin-recorded copies and the engine-recorded
-  /// copy agree.
+  /// True iff some plugin accepted (the engine then records `v`).  The
+  /// violation is mutable: when a state lift is installed (see
+  /// setStateLift) it is applied BEFORE any plugin sees the violation, so
+  /// plugin-recorded copies and the engine-recorded copy agree.
   bool acceptViolation(Violation& v);
 
   /// Installs a violation-state rewrite applied once per candidate
@@ -225,12 +211,9 @@ class AnalysisBus {
   [[nodiscard]] bool wantsNodes() const noexcept { return wantsNodes_; }
 
   /// Dispatches one completed level's nodes (sorted by cut) to every
-  /// node-observing plugin; msets are interned into `msets` first.  With a
-  /// pool, nodes are chunked and each chunk runs a fork() of each plugin,
-  /// merged back in chunk order.
+  /// node-observing plugin; msets are interned into `msets` first.
   void dispatchLevel(const detail::Frontier& frontier, std::uint64_t level,
-                     MonitorSetArena& msets, parallel::ThreadPool* pool,
-                     std::size_t minFrontier);
+                     MonitorSetArena& msets);
 
   /// Runs every plugin's raw-event hook (observed order).
   void dispatchRawEvent(const trace::Event& event,

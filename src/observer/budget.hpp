@@ -16,8 +16,8 @@
 // fixed, documented cost plus its payload (see the k*Bytes constants and
 // kInternNodeBytes in intern.hpp).  The model is a platform-stable
 // estimate, not malloc truth — what matters is that the same lattice
-// always produces the same accounted totals, for any --jobs count and any
-// message arrival order, so budget decisions are reproducible.
+// always produces the same accounted totals, for any message arrival
+// order, so budget decisions are reproducible.
 //
 // When the accounted total exceeds LatticeOptions::memoryBudgetBytes (or a
 // level exceeds maxFrontier), enforceBudget() sheds nodes from the freshly
@@ -112,7 +112,7 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 /// On return `frontier` holds only the survivors, and stats carries the
 /// post-shed accounting (accountedBytes, peakAccountedBytes, droppedNodes,
 /// degradation, boundReason, degradedAtLevel, approximated).  Deterministic
-/// across jobs and delivery orders — see the file comment.
+/// across delivery orders — see the file comment.
 template <typename ObservedKeyFn>
 void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
                    LatticeStats& stats, std::uint64_t level,

@@ -10,8 +10,8 @@
 //   * An interned pointer stays valid for the arena's lifetime (node-based
 //     std::unordered_set storage; no rehash ever moves elements).  One
 //     arena per OnlineAnalyzer (so one per ComputationLattice run).
-//   * Single-threaded: sets are interned on the orchestrator thread when a
-//     level completes, so hit/miss totals are the same for any jobs count.
+//   * Single-threaded: sets are interned in sorted-by-cut order when a
+//     level completes, so hit/miss totals are a function of the lattice.
 #pragma once
 
 #include <algorithm>
@@ -32,12 +32,12 @@ struct InternStats {
 /// element itself plus its share of bucket array and chaining pointers.
 /// Part of the deterministic byte MODEL of DESIGN.md §5c — a platform-
 /// stable estimate the budget enforcer charges, not malloc truth.  The
-/// arena charges through it, so accounted totals are identical across jobs
-/// counts and platforms.
+/// arena charges through it, so accounted totals are identical across
+/// platforms.
 inline constexpr std::uint64_t kInternNodeBytes = 64;
 
 /// Hash-consing arena for sorted monitor-state sets (single-threaded: the
-/// engine interns sets on the orchestrator thread when a level completes).
+/// engine interns sets when a level completes).
 class MonitorSetArena {
  public:
   MonitorSetArena() = default;
@@ -68,7 +68,7 @@ class MonitorSetArena {
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
   /// Every resident set, sorted lexicographically (deterministic across
-  /// runs and jobs counts; checkpoint support).
+  /// runs; checkpoint support).
   [[nodiscard]] std::vector<const std::vector<std::uint64_t>*> snapshotSorted()
       const {
     std::vector<const std::vector<std::uint64_t>*> out;

@@ -13,7 +13,6 @@
 
 #include "observer/causality.hpp"
 #include "observer/global_state.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace mpx::observer {
 
@@ -23,8 +22,9 @@ using MonitorState = std::uint64_t;
 
 /// A safety monitor the lattice can run over every path in parallel.
 /// Implementations must be deterministic functions of (state, globalState)
-/// and must not mutate member state in advance()/isViolating() — the
-/// parallel expansion path calls them concurrently from pool workers.
+/// and must not mutate member state in advance()/isViolating(): the
+/// lattice calls them once per (edge, monitor state), in an order that is
+/// not a run of the program.
 class LatticeMonitor {
  public:
   virtual ~LatticeMonitor() = default;
@@ -133,8 +133,7 @@ enum class Retention : std::uint8_t {
 ///   kSampled      — causally-fair frontier sampling: a seeded hash ranks
 ///                   the cuts of an over-budget level and only the best
 ///                   `allowed` survive (the observed-execution cut always
-///                   among them).  Deterministic across --jobs and across
-///                   delivery orders.
+///                   among them).  Deterministic across delivery orders.
 ///   kObservedOnly — only the observed execution's own cut survives per
 ///                   level; the analysis degenerates to single-trace
 ///                   monitoring (still sound for what it DOES report).
@@ -166,10 +165,6 @@ struct LatticeOptions {
   std::size_t maxViolations = 64;
   /// Record counterexample paths (costs one PathNode per node/monitor-state).
   bool recordPaths = true;
-  /// Multi-threaded level expansion (jobs > 1).  Violation SETS, stats and
-  /// retained levels are identical to the serial path; only the ORDER in
-  /// which violations are appended may differ (see level_expand.hpp).
-  parallel::ParallelConfig parallel;
   /// Byte budget for the accounted working set (monitor-set arena + the
   /// two live frontiers with their states, under the deterministic byte
   /// model of budget.hpp).  When a
@@ -182,8 +177,8 @@ struct LatticeOptions {
   std::size_t maxFrontier = 0;
   /// Seed of the causally-fair sampler.  The sampling decision is a pure
   /// function of (seed, level, cut), so any two runs over the same lattice
-  /// with the same seed retain the same nodes regardless of jobs count or
-  /// message arrival order.
+  /// with the same seed retain the same nodes regardless of message arrival
+  /// order.
   std::uint64_t degradationSeed = 0x9e3779b97f4a7c15ull;
 };
 
@@ -205,8 +200,8 @@ struct LatticeStats {
   bool approximated = false;  ///< the ladder shed nodes: absence of
                               ///< violations is best-effort only
   // How often an edge reached a cut that was already built.  Counted per
-  // level after the merge, so both are pure functions of the lattice (any
-  // jobs count, batch or online): internHits + internMisses == totalEdges.
+  // level once it is expanded, so both are pure functions of the lattice
+  // (batch or online): internHits + internMisses == totalEdges.
   std::uint64_t internHits = 0;    ///< edges into an already-built cut
   std::uint64_t internMisses = 0;  ///< cuts built (states constructed)
   std::uint64_t msetInternHits = 0;    ///< monitor-state-set lookups deduped

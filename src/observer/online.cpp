@@ -75,7 +75,7 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
     const MonitorState m0 = monitor_->initial(init.state);
     init.mstates.emplace(m0, nullptr);
     if (monitor_->isViolating(m0)) {
-      detail::emitViolation(&violations_, bus_, opts_, Cut(threads),
+      detail::emitViolation(violations_, bus_, opts_, Cut(threads),
                             init.state, m0, nullptr);
     }
   }
@@ -90,8 +90,7 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
   stats_.peakAccountedBytes = stats_.accountedBytes;
   retainLevel(0);
   if (bus_ != nullptr) {
-    bus_->dispatchLevel(frontier_, 0, msets_, nullptr,
-                        opts_.parallel.minFrontier);
+    bus_->dispatchLevel(frontier_, 0, msets_);
   }
 }
 
@@ -198,16 +197,6 @@ bool OnlineAnalyzer::canExpand() const {
   return anyNext || frontier_.size() > 1;
 }
 
-parallel::ThreadPool* OnlineAnalyzer::poolForRun() {
-  if (opts_.parallel.pool != nullptr) return opts_.parallel.pool;
-  const std::size_t jobs = opts_.parallel.effectiveJobs();
-  if (jobs <= 1) return nullptr;
-  if (ownedPool_ == nullptr) {
-    ownedPool_ = std::make_unique<parallel::ThreadPool>(jobs);
-  }
-  return ownedPool_.get();
-}
-
 void OnlineAnalyzer::expandOneLevel() {
   telemetry::TraceSpan span("lattice.level", "observer");
   telemetry::ScopedTimer levelTimer(ObserverMetrics::get().levelNs);
@@ -222,7 +211,7 @@ void OnlineAnalyzer::expandOneLevel() {
   std::size_t edges = 0;
   detail::Frontier next = detail::expandLevel(
       frontier_, buffered_.size(), space_, monitor_, opts_, stats_,
-      &violations_, bus_, poolForRun(), edges, nextMsg);
+      violations_, bus_, edges, nextMsg);
   const std::size_t built = next.size();
   // Degradation ladder: shed nodes (deterministically) when the level
   // pushes the accounted working set over the budget or the frontier cap.
@@ -261,8 +250,7 @@ void OnlineAnalyzer::expandOneLevel() {
     // it is counted in the stats but neither retained nor dispatched.
     retainLevel(stats_.levels - 1);
     if (bus_ != nullptr) {
-      bus_->dispatchLevel(frontier_, stats_.levels - 1, msets_, poolForRun(),
-                          opts_.parallel.minFrontier);
+      bus_->dispatchLevel(frontier_, stats_.levels - 1, msets_);
     }
   }
 

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -161,7 +160,6 @@ class OnlineAnalyzer final : public trace::MessageSink {
   /// enforcer's observed-execution key (see budget.hpp).  Every event a
   /// frontier cut includes has already arrived, so the lookup never misses.
   [[nodiscard]] std::uint64_t observedPathKey(const Cut& cut) const;
-  [[nodiscard]] parallel::ThreadPool* poolForRun();
   /// Copies frontier_ into retained_[level] under Retention::kFull.
   void retainLevel(std::uint64_t level);
   /// Marks the analysis finished: snapshots intern stats and runs the
@@ -196,9 +194,6 @@ class OnlineAnalyzer final : public trace::MessageSink {
   LatticeStats stats_;
   std::vector<Violation> violations_;
   std::vector<std::vector<LevelNode>> retained_;
-  /// Lazily created when opts_.parallel asks for jobs > 1 and no external
-  /// pool was injected.
-  std::unique_ptr<parallel::ThreadPool> ownedPool_;
 };
 
 }  // namespace mpx::observer

@@ -316,7 +316,6 @@ TEST(Atomicity, BudgetDegradedRunsStayOracleConfirmed) {
     ec.specs = {c.spec};
     ec.deliverySeed = c.shuffleSeed;
     ec.lattice.maxViolations = std::size_t{1} << 20;
-    ec.lattice.parallel.minFrontier = 1;
     ec.lattice.maxFrontier = 1;  // harshest frontier budget
     const Engine engine(c.program, ec);
     AtomicityAnalysis atom(&c.program.vars);

@@ -81,6 +81,12 @@ struct DiffCase {
   bool locks;
 };
 
+/// The case's label, e.g. "p63s3L"; gtest_discover_tests names the ctest
+/// test after it, so it must not depend on the struct's padding bytes.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << 'p' << c.programSeed << 's' << c.scheduleSeed << (c.locks ? "L" : "");
+}
+
 class TripleAgreement : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(TripleAgreement, AllEnginesAgree) {
@@ -104,12 +110,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DiffCase{61, 1, false}, DiffCase{62, 2, false},
                       DiffCase{63, 3, true}, DiffCase{64, 4, true},
                       DiffCase{65, 5, false}, DiffCase{66, 6, true},
-                      DiffCase{67, 7, false}, DiffCase{68, 8, true}),
-    [](const ::testing::TestParamInfo<DiffCase>& info) {
-      return "p" + std::to_string(info.param.programSeed) + "s" +
-             std::to_string(info.param.scheduleSeed) +
-             (info.param.locks ? "L" : "");
-    });
+                      DiffCase{67, 7, false}, DiffCase{68, 8, true}));
 
 TEST(TripleAgreementCanonical, LandingAndXyz) {
   {
@@ -143,7 +144,6 @@ TEST(TripleAgreementCanonical, SyncHeavyPrograms) {
 
 /// One engine configuration of the differential matrix.
 struct RunCfg {
-  std::size_t jobs = 1;
   trace::DeliveryPolicy delivery = trace::DeliveryPolicy::kFifo;
   std::size_t maxFrontier = 0;
   std::size_t memoryBudget = 0;
@@ -158,10 +158,6 @@ EngineResult runEngineCase(const mpx::testing::GeneratedCase& c,
   // The sweep compares full violation SETS — never let the witness cap
   // truncate them.
   ec.lattice.maxViolations = std::size_t{1} << 20;
-  ec.lattice.parallel.jobs = cfg.jobs;
-  // Tiny lattices would otherwise fall below the serial-fallback threshold
-  // and never exercise the parallel merge path.
-  ec.lattice.parallel.minFrontier = 1;
   ec.lattice.maxFrontier = cfg.maxFrontier;
   ec.lattice.memoryBudgetBytes = cfg.memoryBudget;
   const Engine engine(c.program, ec);
@@ -186,8 +182,8 @@ std::optional<mpx::testing::OracleResult> oracleFor(
 
 /// ≥500 accepted seeds: the engine's violating-cut set, level count, node
 /// census, peak width and run count must all equal the oracle's, and the
-/// rendered report must be byte-identical across jobs {1,4} and fifo /
-/// shuffled delivery.
+/// rendered report must be byte-identical across fifo and shuffled
+/// delivery.
 TEST(OracleDifferential, FiveHundredSeedSweep) {
   std::size_t accepted = 0;
   for (std::uint64_t seed = 1; accepted < 500 && seed < 20000; ++seed) {
@@ -208,31 +204,25 @@ TEST(OracleDifferential, FiveHundredSeedSweep) {
         << "seed " << seed;
     ASSERT_FALSE(base.latticeStats.bounded()) << "seed " << seed;
 
-    // Cross-config determinism: byte-identical reports and accounting.
-    const std::string ref = renderAnalysisReports(base.reports);
-    const RunCfg variants[] = {
-        {4, trace::DeliveryPolicy::kFifo, 0, 0},
-        {1, trace::DeliveryPolicy::kShuffle, 0, 0},
-        {4, trace::DeliveryPolicy::kShuffle, 0, 0},
-    };
-    for (const RunCfg& v : variants) {
-      const EngineResult r = runEngineCase(c, v);
-      ASSERT_EQ(renderAnalysisReports(r.reports), ref)
-          << "seed " << seed << " jobs " << v.jobs;
-      ASSERT_EQ(r.latticeStats.accountedBytes, base.latticeStats.accountedBytes)
-          << "seed " << seed << " jobs " << v.jobs;
-      ASSERT_EQ(r.latticeStats.peakAccountedBytes,
-                base.latticeStats.peakAccountedBytes)
-          << "seed " << seed << " jobs " << v.jobs;
-    }
+    // Cross-delivery determinism: byte-identical reports and accounting.
+    const EngineResult r =
+        runEngineCase(c, {trace::DeliveryPolicy::kShuffle, 0, 0});
+    ASSERT_EQ(renderAnalysisReports(r.reports),
+              renderAnalysisReports(base.reports))
+        << "seed " << seed;
+    ASSERT_EQ(r.latticeStats.accountedBytes, base.latticeStats.accountedBytes)
+        << "seed " << seed;
+    ASSERT_EQ(r.latticeStats.peakAccountedBytes,
+              base.latticeStats.peakAccountedBytes)
+        << "seed " << seed;
   }
   ASSERT_GE(accepted, 500u);
 }
 
 /// Budget-ladder runs: under ANY finite budget the engine's violations stay
 /// a SUBSET of the oracle's (never a superset — shed runs only lose
-/// exhaustiveness), the report is stamped BOUNDED exactly when runs were
-/// shed, and shedding is deterministic across jobs counts.
+/// exhaustiveness), and the report is stamped BOUNDED exactly when runs
+/// were shed.
 TEST(OracleDifferential, BoundedRunsAreSoundSubsets) {
   std::size_t accepted = 0;
   std::size_t degradedRuns = 0;
@@ -247,55 +237,33 @@ TEST(OracleDifferential, BoundedRunsAreSoundSubsets) {
         {1, 0}, {2, 0}, {0, 2048},  // {maxFrontier, memoryBudgetBytes}
     };
     for (const auto& lad : ladders) {
-      EngineResult byJobs[2];
-      for (std::size_t ji = 0; ji < 2; ++ji) {
-        const RunCfg cfg{ji == 0 ? 1u : 4u, trace::DeliveryPolicy::kFifo,
-                         lad[0], lad[1]};
-        EngineResult r = runEngineCase(c, cfg);
-        const std::set<std::string> cuts = violatingCuts(r);
+      const EngineResult r =
+          runEngineCase(c, {trace::DeliveryPolicy::kFifo, lad[0], lad[1]});
+      const std::set<std::string> cuts = violatingCuts(r);
 
-        // Soundness: BOUNDED violations ⊆ oracle, never a superset.
-        ASSERT_TRUE(std::includes(oracle->violatingCuts.begin(),
-                                  oracle->violatingCuts.end(), cuts.begin(),
-                                  cuts.end()))
-            << "seed " << seed << " mf " << lad[0] << " mb " << lad[1];
-
-        // The verdict stamp tells the truth about exhaustiveness.
-        const std::string report = renderViolationReport(
-            r.space, r.violations, r.latticeStats, true);
-        if (r.latticeStats.bounded()) {
-          ASSERT_NE(report.find("verdict: BOUNDED("), std::string::npos)
-              << report;
-          ASSERT_NE(r.latticeStats.degradation,
-                    observer::DegradationMode::kFull);
-          ASSERT_NE(r.latticeStats.boundReason, observer::BoundReason::kNone);
-          ASSERT_GT(r.latticeStats.droppedNodes, 0u);
-          ASSERT_GE(r.latticeStats.degradedAtLevel, 1u);
-          ++degradedRuns;
-        } else {
-          ASSERT_NE(report.find("verdict: SOUND"), std::string::npos)
-              << report;
-          ASSERT_EQ(cuts, oracle->violatingCuts) << "seed " << seed;
-        }
-        byJobs[ji] = std::move(r);
-      }
-
-      // Shedding is deterministic across jobs counts: same survivors, same
-      // accounting, byte-identical reports.
-      ASSERT_EQ(violatingCuts(byJobs[0]), violatingCuts(byJobs[1]))
+      // Soundness: BOUNDED violations ⊆ oracle, never a superset.
+      ASSERT_TRUE(std::includes(oracle->violatingCuts.begin(),
+                                oracle->violatingCuts.end(), cuts.begin(),
+                                cuts.end()))
           << "seed " << seed << " mf " << lad[0] << " mb " << lad[1];
-      ASSERT_EQ(byJobs[0].latticeStats.droppedNodes,
-                byJobs[1].latticeStats.droppedNodes)
-          << "seed " << seed;
-      ASSERT_EQ(byJobs[0].latticeStats.degradation,
-                byJobs[1].latticeStats.degradation)
-          << "seed " << seed;
-      ASSERT_EQ(byJobs[0].latticeStats.accountedBytes,
-                byJobs[1].latticeStats.accountedBytes)
-          << "seed " << seed;
-      ASSERT_EQ(renderAnalysisReports(byJobs[0].reports),
-                renderAnalysisReports(byJobs[1].reports))
-          << "seed " << seed;
+
+      // The verdict stamp tells the truth about exhaustiveness.
+      const std::string report = renderViolationReport(
+          r.space, r.violations, r.latticeStats, true);
+      if (r.latticeStats.bounded()) {
+        ASSERT_NE(report.find("verdict: BOUNDED("), std::string::npos)
+            << report;
+        ASSERT_NE(r.latticeStats.degradation,
+                  observer::DegradationMode::kFull);
+        ASSERT_NE(r.latticeStats.boundReason, observer::BoundReason::kNone);
+        ASSERT_GT(r.latticeStats.droppedNodes, 0u);
+        ASSERT_GE(r.latticeStats.degradedAtLevel, 1u);
+        ++degradedRuns;
+      } else {
+        ASSERT_NE(report.find("verdict: SOUND"), std::string::npos)
+            << report;
+        ASSERT_EQ(cuts, oracle->violatingCuts) << "seed " << seed;
+      }
     }
   }
   ASSERT_GE(accepted, 500u);
@@ -314,8 +282,8 @@ TEST(OracleDifferential, BoundedRunsDeterministicAcrossDelivery) {
     if (!oracleFor(c, base)) continue;
     ++accepted;
 
-    const RunCfg fifo{1, trace::DeliveryPolicy::kFifo, 2, 0};
-    const RunCfg shuf{4, trace::DeliveryPolicy::kShuffle, 2, 0};
+    const RunCfg fifo{trace::DeliveryPolicy::kFifo, 2, 0};
+    const RunCfg shuf{trace::DeliveryPolicy::kShuffle, 2, 0};
     const EngineResult a = runEngineCase(c, fifo);
     const EngineResult b = runEngineCase(c, shuf);
     ASSERT_EQ(violatingCuts(a), violatingCuts(b)) << "seed " << seed;
@@ -330,7 +298,7 @@ TEST(OracleDifferential, BoundedRunsDeterministicAcrossDelivery) {
   ASSERT_GE(accepted, 120u);
 }
 
-/// Race/deadlock differential: plugin reports are invariant across jobs and
+/// Race/deadlock differential: plugin reports are invariant across
 /// delivery orders, lock-free programs never report deadlocks, and every
 /// race report satisfies the Definition-level invariants (same variable,
 /// different threads, at least one write, MVC-concurrent).
@@ -347,20 +315,16 @@ TEST(OracleDifferential, RaceAndDeadlockReportsInvariant) {
     EngineConfig ec;
     ec.specs = {c.spec};
     ec.lattice.maxViolations = std::size_t{1} << 20;
-    ec.lattice.parallel.minFrontier = 1;
 
     std::string ref;
     std::size_t refRaces = 0;
-    const RunCfg variants[] = {
-        {1, trace::DeliveryPolicy::kFifo, 0, 0},
-        {4, trace::DeliveryPolicy::kFifo, 0, 0},
-        {1, trace::DeliveryPolicy::kShuffle, 0, 0},
-        {4, trace::DeliveryPolicy::kShuffle, 0, 0},
+    const trace::DeliveryPolicy deliveries[] = {
+        trace::DeliveryPolicy::kFifo,
+        trace::DeliveryPolicy::kShuffle,
     };
-    for (std::size_t vi = 0; vi < 4; ++vi) {
-      ec.delivery = variants[vi].delivery;
+    for (std::size_t vi = 0; vi < 2; ++vi) {
+      ec.delivery = deliveries[vi];
       ec.deliverySeed = c.shuffleSeed;
-      ec.lattice.parallel.jobs = variants[vi].jobs;
       const Engine engine(c.program, ec);
       detect::RaceAnalysis race(c.program, varNames, {});
       detect::DeadlockAnalysis deadlock(c.program);
@@ -396,8 +360,7 @@ TEST(OracleDifferential, RaceAndDeadlockReportsInvariant) {
 /// Checkpoint rung of the sweep: walking the trace message-by-message and
 /// REPLACING the session with checkpoint()+restore() at every watermark
 /// advance (plus once mid-level) must leave the final report byte-identical
-/// to the uninterrupted session's — across jobs {1,4} and fifo / shuffled
-/// arrival.  This is the restore-determinism contract the observer daemon's
+/// to the uninterrupted session's — across fifo and shuffled arrival.  This is the restore-determinism contract the observer daemon's
 /// epoch snapshots rely on, ground down to the sweep's seed set.
 TEST(OracleDifferential, CheckpointRestoreRoundTripsMidSweep) {
   std::size_t accepted = 0;
@@ -413,75 +376,69 @@ TEST(OracleDifferential, CheckpointRestoreRoundTripsMidSweep) {
       fifo.push_back(base.causality.message(ref));
     }
 
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool shuffled : {false, true}) {
-        std::vector<trace::Message> msgs = fifo;
-        if (shuffled) {
-          std::mt19937_64 rng(c.shuffleSeed);
-          std::shuffle(msgs.begin(), msgs.end(), rng);
-        }
-
-        AnalyzerSession::Config cfg;
-        cfg.threads =
-            static_cast<std::uint32_t>(base.causality.threadCount());
-        cfg.specs = {c.spec};
-        cfg.handshakeSpecs = cfg.specs;
-        for (std::size_t i = 0; i < c.options.vars; ++i) {
-          cfg.tracked.push_back("g" + std::to_string(i));
-        }
-        cfg.vars = c.program.vars;
-        cfg.lattice.maxViolations = std::size_t{1} << 20;
-        cfg.lattice.parallel.jobs = jobs;
-        cfg.lattice.parallel.minFrontier = 1;
-
-        // Uninterrupted reference session.
-        AnalyzerSession ref(cfg);
-        const char* err = nullptr;
-        for (const auto& m : msgs) {
-          ASSERT_NE(ref.ingest(m, &err), AnalyzerSession::Ingest::kError)
-              << "seed " << seed << ": " << err;
-        }
-        ref.noteStreamEnd();
-        ASSERT_TRUE(ref.finished()) << ref.streamError();
-        const std::string want = ref.renderReport();
-
-        // The same walk, but the session object is torn down and rebuilt
-        // from its own checkpoint blob mid-flight.
-        auto live = std::make_unique<AnalyzerSession>(cfg);
-        std::uint64_t lastLevel = live->watermarkLevel();
-        std::size_t fed = 0;
-        for (const auto& m : msgs) {
-          ASSERT_NE(live->ingest(m, &err), AnalyzerSession::Ingest::kError)
-              << "seed " << seed << ": " << err;
-          ++fed;
-          const bool levelAdvanced = live->watermarkLevel() > lastLevel;
-          if (levelAdvanced || fed == msgs.size() / 2) {
-            lastLevel = live->watermarkLevel();
-            observer::ckpt::Writer w;
-            live->checkpoint(w);
-            const std::vector<std::uint8_t> blob = w.take();
-            observer::ckpt::Reader r(blob);
-            auto restored = AnalyzerSession::restore(r, jobs);
-            ASSERT_NE(restored, nullptr) << "seed " << seed;
-            ASSERT_EQ(restored->watermarkLevel(), live->watermarkLevel())
-                << "seed " << seed;
-            ASSERT_EQ(restored->pendingMessages(), live->pendingMessages())
-                << "seed " << seed;
-            ASSERT_EQ(restored->violations().size(),
-                      live->violations().size())
-                << "seed " << seed;
-            ASSERT_EQ(restored->restoreCount(), live->restoreCount() + 1)
-                << "seed " << seed;
-            live = std::move(restored);
-            ++roundTrips;
-          }
-        }
-        live->noteStreamEnd();
-        ASSERT_TRUE(live->finished()) << live->streamError();
-        ASSERT_EQ(live->renderReport(), want)
-            << "seed " << seed << " jobs " << jobs
-            << (shuffled ? " shuffled" : " fifo");
+    for (const bool shuffled : {false, true}) {
+      std::vector<trace::Message> msgs = fifo;
+      if (shuffled) {
+        std::mt19937_64 rng(c.shuffleSeed);
+        std::shuffle(msgs.begin(), msgs.end(), rng);
       }
+
+      AnalyzerSession::Config cfg;
+      cfg.threads = static_cast<std::uint32_t>(base.causality.threadCount());
+      cfg.specs = {c.spec};
+      cfg.handshakeSpecs = cfg.specs;
+      for (std::size_t i = 0; i < c.options.vars; ++i) {
+        cfg.tracked.push_back("g" + std::to_string(i));
+      }
+      cfg.vars = c.program.vars;
+      cfg.lattice.maxViolations = std::size_t{1} << 20;
+
+      // Uninterrupted reference session.
+      AnalyzerSession ref(cfg);
+      const char* err = nullptr;
+      for (const auto& m : msgs) {
+        ASSERT_NE(ref.ingest(m, &err), AnalyzerSession::Ingest::kError)
+            << "seed " << seed << ": " << err;
+      }
+      ref.noteStreamEnd();
+      ASSERT_TRUE(ref.finished()) << ref.streamError();
+      const std::string want = ref.renderReport();
+
+      // The same walk, but the session object is torn down and rebuilt
+      // from its own checkpoint blob mid-flight.
+      auto live = std::make_unique<AnalyzerSession>(cfg);
+      std::uint64_t lastLevel = live->watermarkLevel();
+      std::size_t fed = 0;
+      for (const auto& m : msgs) {
+        ASSERT_NE(live->ingest(m, &err), AnalyzerSession::Ingest::kError)
+            << "seed " << seed << ": " << err;
+        ++fed;
+        const bool levelAdvanced = live->watermarkLevel() > lastLevel;
+        if (levelAdvanced || fed == msgs.size() / 2) {
+          lastLevel = live->watermarkLevel();
+          observer::ckpt::Writer w;
+          live->checkpoint(w);
+          const std::vector<std::uint8_t> blob = w.take();
+          observer::ckpt::Reader r(blob);
+          auto restored = AnalyzerSession::restore(r);
+          ASSERT_NE(restored, nullptr) << "seed " << seed;
+          ASSERT_EQ(restored->watermarkLevel(), live->watermarkLevel())
+              << "seed " << seed;
+          ASSERT_EQ(restored->pendingMessages(), live->pendingMessages())
+              << "seed " << seed;
+          ASSERT_EQ(restored->violations().size(),
+                    live->violations().size())
+              << "seed " << seed;
+          ASSERT_EQ(restored->restoreCount(), live->restoreCount() + 1)
+              << "seed " << seed;
+          live = std::move(restored);
+          ++roundTrips;
+        }
+      }
+      live->noteStreamEnd();
+      ASSERT_TRUE(live->finished()) << live->streamError();
+      ASSERT_EQ(live->renderReport(), want)
+          << "seed " << seed << (shuffled ? " shuffled" : " fifo");
     }
   }
   ASSERT_GE(accepted, 500u);
@@ -571,7 +528,7 @@ std::set<std::pair<ThreadId, std::size_t>> regionSet(
 /// conflict-graph verdict against serialization-existence backtracking on
 /// EVERY linearization), MhpPrefilter's never-concurrent pairs must be a
 /// subset of the exhaustive census, and both plugins' reports must be
-/// byte-identical across jobs {1,4} × fifo/shuffled delivery.
+/// byte-identical across fifo and shuffled delivery.
 TEST(OracleDifferential, AtomicityFiveHundredSeedSweep) {
   std::size_t accepted = 0;
   std::size_t violatingSeeds = 0;
@@ -582,7 +539,6 @@ TEST(OracleDifferential, AtomicityFiveHundredSeedSweep) {
     EngineConfig ec;
     ec.specs = {c.spec};
     ec.lattice.maxViolations = std::size_t{1} << 20;
-    ec.lattice.parallel.minFrontier = 1;
     ec.deliverySeed = c.shuffleSeed;
     const Engine engine(c.program, ec);
     AtomicityAnalysis atom(&c.program.vars);
@@ -616,29 +572,19 @@ TEST(OracleDifferential, AtomicityFiveHundredSeedSweep) {
           << "seed " << seed << " pair " << p.first << "," << p.second;
     }
 
-    // Cross-config determinism: byte-identical plugin reports across
-    // jobs {1,4} × fifo/shuffled (fresh plugin instances each run — they
-    // accumulate message logs).
-    const std::string ref = renderAnalysisReports(base.reports);
-    const RunCfg variants[] = {
-        {4, trace::DeliveryPolicy::kFifo, 0, 0},
-        {1, trace::DeliveryPolicy::kShuffle, 0, 0},
-        {4, trace::DeliveryPolicy::kShuffle, 0, 0},
-    };
-    for (const RunCfg& v : variants) {
-      EngineConfig vc = ec;
-      vc.delivery = v.delivery;
-      vc.lattice.parallel.jobs = v.jobs;
-      const Engine vEngine(c.program, vc);
-      AtomicityAnalysis vAtom(&c.program.vars);
-      MhpPrefilter vMhp(&c.program.vars);
-      const EngineResult r =
-          vEngine.runWithSeed(c.scheduleSeed, {&vMhp, &vAtom});
-      ASSERT_EQ(renderAnalysisReports(r.reports), ref)
-          << "seed " << seed << " jobs " << v.jobs;
-      ASSERT_EQ(regionSet(vAtom), oracle.result().violations)
-          << "seed " << seed << " jobs " << v.jobs;
-    }
+    // Cross-delivery determinism: byte-identical plugin reports across
+    // fifo and shuffled arrival (fresh plugin instances — they accumulate
+    // message logs).
+    EngineConfig shuffled = ec;
+    shuffled.delivery = trace::DeliveryPolicy::kShuffle;
+    const Engine sEngine(c.program, shuffled);
+    AtomicityAnalysis sAtom(&c.program.vars);
+    MhpPrefilter sMhp(&c.program.vars);
+    const EngineResult r = sEngine.runWithSeed(c.scheduleSeed, {&sMhp, &sAtom});
+    ASSERT_EQ(renderAnalysisReports(r.reports),
+              renderAnalysisReports(base.reports))
+        << "seed " << seed;
+    ASSERT_EQ(regionSet(sAtom), oracle.result().violations) << "seed " << seed;
   }
   ASSERT_GE(accepted, 500u);
   // The rung must exercise real regions and real violations, not pass
@@ -664,7 +610,6 @@ TEST(OracleDifferential, MhpPrefilterByteIdenticalReports) {
     off.specs = {c.spec};
     off.extraTrackedVars = {"g2"};
     off.lattice.maxViolations = std::size_t{1} << 20;
-    off.lattice.parallel.minFrontier = 1;
     off.deliverySeed = c.shuffleSeed;
     EngineConfig on = off;
     on.mhpPrefilter = true;
@@ -675,25 +620,18 @@ TEST(OracleDifferential, MhpPrefilterByteIdenticalReports) {
     if (!oracle) continue;
     ++accepted;
 
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      EngineConfig onJ = on;
-      onJ.lattice.parallel.jobs = jobs;
-      const Engine onEngine(c.program, onJ);
-      const EngineResult onR = onEngine.runWithSeed(c.scheduleSeed);
+    const Engine onEngine(c.program, on);
+    const EngineResult onR = onEngine.runWithSeed(c.scheduleSeed);
 
-      ASSERT_EQ(renderAnalysisReports(onR.reports),
-                renderAnalysisReports(offR.reports))
-          << "seed " << seed << " jobs " << jobs;
-      ASSERT_EQ(violatingCuts(onR), violatingCuts(offR))
-          << "seed " << seed << " jobs " << jobs;
-      ASSERT_EQ(violatingCuts(onR), oracle->violatingCuts) << "seed " << seed;
-      ASSERT_EQ(onR.latticeStats.totalNodes, offR.latticeStats.totalNodes)
-          << "seed " << seed;
-      ASSERT_LE(onR.unionVarsExpanded, onR.space.size()) << "seed " << seed;
-      if (jobs == 1 && onR.unionVarsExpanded < onR.space.size()) {
-        ++prunedRuns;
-      }
-    }
+    ASSERT_EQ(renderAnalysisReports(onR.reports),
+              renderAnalysisReports(offR.reports))
+        << "seed " << seed;
+    ASSERT_EQ(violatingCuts(onR), violatingCuts(offR)) << "seed " << seed;
+    ASSERT_EQ(violatingCuts(onR), oracle->violatingCuts) << "seed " << seed;
+    ASSERT_EQ(onR.latticeStats.totalNodes, offR.latticeStats.totalNodes)
+        << "seed " << seed;
+    ASSERT_LE(onR.unionVarsExpanded, onR.space.size()) << "seed " << seed;
+    if (onR.unionVarsExpanded < onR.space.size()) ++prunedRuns;
   }
   ASSERT_GE(accepted, 500u);
   // The prefilter must actually prune somewhere, or the rung is vacuous.

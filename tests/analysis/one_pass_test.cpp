@@ -1,7 +1,7 @@
 // One-pass equivalence (the tentpole guarantee): checking K properties as
 // plugins in ONE lattice pass produces byte-identical per-property reports
-// to K independent single-property passes — for serial and parallel
-// expansion and for shuffled message delivery.
+// to K independent single-property passes — for FIFO and shuffled message
+// delivery.
 //
 // The baselines track the UNION of all specs' variables (ptLTL is
 // stutter-sensitive, so the reference semantics is a single-property pass
@@ -57,8 +57,7 @@ std::vector<Scenario> scenarios() {
   return out;
 }
 
-EngineConfig multiConfig(const Scenario& s, trace::DeliveryPolicy delivery,
-                         std::size_t jobs) {
+EngineConfig multiConfig(const Scenario& s, trace::DeliveryPolicy delivery) {
   EngineConfig c;
   c.specs = s.specs;
   c.delivery = delivery;
@@ -66,24 +65,21 @@ EngineConfig multiConfig(const Scenario& s, trace::DeliveryPolicy delivery,
   // A shared violation cap hits sooner with K monitors riding one pass;
   // keep it out of the way so reports compare on content, not truncation.
   c.lattice.maxViolations = 1u << 12;
-  c.lattice.parallel.jobs = jobs;
-  c.lattice.parallel.minFrontier = 1;  // parallel path even on tiny levels
   return c;
 }
 
 void expectOnePassEquivalence(const Scenario& s,
-                              trace::DeliveryPolicy delivery,
-                              std::size_t jobs) {
-  SCOPED_TRACE(std::string(s.label) + " jobs=" + std::to_string(jobs) +
+                              trace::DeliveryPolicy delivery) {
+  SCOPED_TRACE(std::string(s.label) +
                " delivery=" + std::to_string(static_cast<int>(delivery)));
 
-  const Engine multiEngine(s.prog, multiConfig(s, delivery, jobs));
+  const Engine multiEngine(s.prog, multiConfig(s, delivery));
   const EngineResult multi = multiEngine.run(s.rec);
   ASSERT_EQ(multi.specs.size(), s.specs.size());
   ASSERT_GE(multi.reports.size(), s.specs.size());
 
   for (std::size_t i = 0; i < s.specs.size(); ++i) {
-    EngineConfig single = multiConfig(s, delivery, jobs);
+    EngineConfig single = multiConfig(s, delivery);
     single.specs = {s.specs[i]};
     single.extraTrackedVars = multiEngine.trackedVariables();
     const Engine singleEngine(s.prog, single);
@@ -109,26 +105,14 @@ void expectOnePassEquivalence(const Scenario& s,
 
 TEST(OnePassEquivalence, FifoSerial) {
   for (const auto& s : scenarios()) {
-    expectOnePassEquivalence(s, trace::DeliveryPolicy::kFifo, 1);
-  }
-}
-
-TEST(OnePassEquivalence, FifoParallelJobs4) {
-  for (const auto& s : scenarios()) {
-    expectOnePassEquivalence(s, trace::DeliveryPolicy::kFifo, 4);
+    expectOnePassEquivalence(s, trace::DeliveryPolicy::kFifo);
   }
 }
 
 TEST(OnePassEquivalence, ShuffledDeliverySerial) {
   // Theorem 3: the lattice (and hence every report) is delivery-invariant.
   for (const auto& s : scenarios()) {
-    expectOnePassEquivalence(s, trace::DeliveryPolicy::kShuffle, 1);
-  }
-}
-
-TEST(OnePassEquivalence, ShuffledDeliveryParallelJobs4) {
-  for (const auto& s : scenarios()) {
-    expectOnePassEquivalence(s, trace::DeliveryPolicy::kShuffle, 4);
+    expectOnePassEquivalence(s, trace::DeliveryPolicy::kShuffle);
   }
 }
 
@@ -137,9 +121,9 @@ TEST(OnePassEquivalence, ShuffleAgreesWithFifo) {
   // delivery orders, so equivalence is not vacuous per-delivery.
   for (const auto& s : scenarios()) {
     const Engine fifoEngine(
-        s.prog, multiConfig(s, trace::DeliveryPolicy::kFifo, 1));
+        s.prog, multiConfig(s, trace::DeliveryPolicy::kFifo));
     const Engine shufEngine(
-        s.prog, multiConfig(s, trace::DeliveryPolicy::kShuffle, 1));
+        s.prog, multiConfig(s, trace::DeliveryPolicy::kShuffle));
     const EngineResult a = fifoEngine.run(s.rec);
     const EngineResult b = shufEngine.run(s.rec);
     ASSERT_EQ(a.reports.size(), b.reports.size());
@@ -152,7 +136,7 @@ TEST(OnePassEquivalence, ShuffleAgreesWithFifo) {
 TEST(OnePassEquivalence, AtLeastOneSpecPredictsAViolation) {
   // Guards against the whole suite passing on empty reports.
   for (const auto& s : scenarios()) {
-    const Engine engine(s.prog, multiConfig(s, trace::DeliveryPolicy::kFifo, 1));
+    const Engine engine(s.prog, multiConfig(s, trace::DeliveryPolicy::kFifo));
     const EngineResult r = engine.run(s.rec);
     EXPECT_TRUE(r.predictsViolation()) << s.label;
     // Every edge either built a cut or reached one already built.

@@ -50,16 +50,13 @@ struct Reference {
   std::string report;
 };
 
-Reference inProcess(const ObservedComputation& c, const char* spec,
-                    std::size_t jobs = 1) {
+Reference inProcess(const ObservedComputation& c, const char* spec) {
   std::unique_ptr<logic::SynthesizedMonitor> mon;
   if (spec != nullptr && *spec != '\0') {
     mon = std::make_unique<logic::SynthesizedMonitor>(
         logic::SpecParser(c.space).parse(spec));
   }
-  observer::LatticeOptions opts;
-  opts.parallel.jobs = jobs;
-  observer::OnlineAnalyzer a(c.space, c.prog.threadCount(), mon.get(), opts);
+  observer::OnlineAnalyzer a(c.space, c.prog.threadCount(), mon.get());
   for (const auto& m : messagesInOrder(c.graph)) a.onMessage(m);
   a.endOfTrace();
   EXPECT_TRUE(a.finished());
@@ -77,10 +74,9 @@ Handshake handshakeFor(const ObservedComputation& c, const char* spec,
                        spec != nullptr ? spec : "", tracked, c.prog.vars);
 }
 
-DaemonOptions quietDaemon(std::size_t streams = 1, std::size_t jobs = 1) {
+DaemonOptions quietDaemon(std::size_t streams = 1) {
   DaemonOptions o;
   o.expectedStreams = streams;
-  o.jobs = jobs;
   o.logErrors = false;
   return o;
 }
@@ -153,12 +149,12 @@ TEST(NetDaemonE2E, LoopbackEqualsInProcessOnLanding) {
   daemon.stop();
 }
 
-TEST(NetDaemonE2E, TwoInterleavedChannelsWithParallelJobs) {
+TEST(NetDaemonE2E, TwoInterleavedChannelsMatchInProcess) {
   const auto c = xyzComputation();
   const char* spec = program::corpus::xyzProperty();
   const Reference ref = inProcess(c, spec);
 
-  ObserverDaemon daemon(quietDaemon(/*streams=*/2, /*jobs=*/4));
+  ObserverDaemon daemon(quietDaemon(/*streams=*/2));
   ASSERT_TRUE(daemon.start());
   const Handshake h = handshakeFor(c, spec, {"x", "y", "z"});
   {

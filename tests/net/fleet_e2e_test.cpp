@@ -49,7 +49,6 @@ Handshake tenantHandshake(const ObservedComputation& c, const char* spec,
 
 DaemonOptions quietDaemon() {
   DaemonOptions o;
-  o.jobs = 1;
   o.logErrors = false;
   return o;
 }

@@ -1,11 +1,11 @@
-// The pluggable analysis interface: node dispatch coverage, fork/merge
-// determinism under parallel expansion, violation filtering through the
-// owning plugins, and MonitorBus component packing.
+// The pluggable analysis interface: node dispatch coverage and order,
+// violation filtering through the owning plugins, and MonitorBus
+// component packing.
 #include "observer/analysis.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -24,9 +24,7 @@ using mpx::testing::ObservedComputation;
 using mpx::testing::observe;
 using mpx::testing::xyzComputation;
 
-/// Counts nodes and records their dispatch order.  merge() appends the
-/// fork's order — dispatched chunks arrive in chunk-index order, so the
-/// merged order must equal the serial order.
+/// Counts nodes and records their dispatch order.
 class NodeCensus final : public Analysis {
  public:
   [[nodiscard]] std::string name() const override { return "census"; }
@@ -35,21 +33,9 @@ class NodeCensus final : public Analysis {
 
   void onNode(const NodeView& node) override {
     ++count_;
-    order_.push_back(node.cut->toString());
+    order_.emplace_back(node.level, node.cut->k);
     states_.emplace_back(node.cut->k, *node.state);
     msetPtrs_.insert(node.monitorStates);
-  }
-
-  [[nodiscard]] std::unique_ptr<Analysis> fork() override {
-    return std::make_unique<NodeCensus>();
-  }
-
-  void merge(Analysis& fork) override {
-    auto& f = static_cast<NodeCensus&>(fork);
-    count_ += f.count_;
-    order_.insert(order_.end(), f.order_.begin(), f.order_.end());
-    states_.insert(states_.end(), f.states_.begin(), f.states_.end());
-    msetPtrs_.insert(f.msetPtrs_.begin(), f.msetPtrs_.end());
   }
 
   [[nodiscard]] AnalysisReport report() const override {
@@ -61,7 +47,7 @@ class NodeCensus final : public Analysis {
   }
 
   std::size_t count_ = 0;
-  std::vector<std::string> order_;
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> order_;
   std::vector<std::pair<std::vector<std::uint32_t>, GlobalState>> states_;
   std::set<const std::vector<MonitorState>*> msetPtrs_;
 };
@@ -120,8 +106,8 @@ class SlotChecker final : public Analysis {
   std::vector<std::string> cuts_;
 };
 
-/// Three threads, two writes each to private variables: a 27-cut lattice,
-/// wide enough to exercise chunked parallel node dispatch.
+/// Three threads, two writes each to private variables: a 27-cut lattice
+/// whose middle levels hold up to 7 cuts.
 ObservedComputation wideComputation() {
   program::ProgramBuilder b;
   const VarId a = b.var("a", 0);
@@ -133,13 +119,6 @@ ObservedComputation wideComputation() {
   }
   program::GreedyScheduler sched;
   return observe(b.build(), sched, {"a", "c", "d"});
-}
-
-LatticeOptions withJobs(std::size_t jobs) {
-  LatticeOptions opts;
-  opts.parallel.jobs = jobs;
-  opts.parallel.minFrontier = 1;  // chunk even narrow levels
-  return opts;
 }
 
 TEST(AnalysisPlugin, NodeDispatchCoversEveryNodeOnce) {
@@ -160,27 +139,28 @@ TEST(AnalysisPlugin, NodeDispatchCoversEveryNodeOnce) {
   EXPECT_EQ(census.msetPtrs_.size(), 1u);
 }
 
-TEST(AnalysisPlugin, ForkMergeOrderMatchesSerialAcrossJobs) {
+TEST(AnalysisPlugin, NodeDispatchIsSortedByCutWithinEachLevel) {
+  // Plugins see the levels in order and each level's nodes sorted by cut:
+  // the order a checkpoint/restore round trip reproduces.
   const auto c = wideComputation();
+  NodeCensus census;
+  AnalysisBus bus({&census});
+  ComputationLattice lattice(c.graph, c.space, LatticeOptions{});
+  std::vector<Violation> violations;
+  lattice.analyze(bus, violations);
 
-  std::vector<std::string> serialOrder;
-  {
-    NodeCensus census;
-    AnalysisBus bus({&census});
-    ComputationLattice lattice(c.graph, c.space, withJobs(1));
-    std::vector<Violation> violations;
-    lattice.analyze(bus, violations);
-    serialOrder = census.order_;
-    EXPECT_EQ(census.count_, 27u);  // (2+1)^3 cuts
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> want;
+  for (std::uint32_t a = 0; a <= 2; ++a) {
+    for (std::uint32_t b = 0; b <= 2; ++b) {
+      for (std::uint32_t d = 0; d <= 2; ++d) {
+        want.emplace_back(a + b + d, std::vector<std::uint32_t>{a, b, d});
+      }
+    }
   }
-  for (const std::size_t jobs : {2u, 4u}) {
-    NodeCensus census;
-    AnalysisBus bus({&census});
-    ComputationLattice lattice(c.graph, c.space, withJobs(jobs));
-    std::vector<Violation> violations;
-    lattice.analyze(bus, violations);
-    EXPECT_EQ(census.order_, serialOrder) << "jobs=" << jobs;
-  }
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(want.size(), 27u);  // (2+1)^3 cuts
+  EXPECT_EQ(census.count_, 27u);
+  EXPECT_EQ(census.order_, want);
 }
 
 TEST(AnalysisPlugin, RejectedViolationsAreNotRecorded) {

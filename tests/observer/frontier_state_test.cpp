@@ -1,8 +1,8 @@
 // Frontier nodes own their global states.  Every node's state is its cut's
 // valuation, folded here without the lattice; the edge tallies partition
-// the edges identically for any jobs count and for batch and online
-// expansion; and neither the accounted working set nor a checkpoint grows
-// with the length of the stream, only with the live frontier.
+// the edges identically for batch and online expansion; and neither the
+// accounted working set nor a checkpoint grows with the length of the
+// stream, only with the live frontier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,13 +45,6 @@ std::vector<ObservedComputation> computations() {
   return out;
 }
 
-LatticeOptions withJobs(std::size_t jobs) {
-  LatticeOptions opts;
-  opts.parallel.jobs = jobs;
-  opts.parallel.minFrontier = 1;  // split even narrow levels
-  return opts;
-}
-
 /// Messages of a finalized graph in a seeded arrival order.
 std::vector<trace::Message> shuffledMessages(const CausalityGraph& g,
                                              std::uint64_t seed) {
@@ -71,13 +64,6 @@ class StateRecorder final : public Analysis {
   void onNode(const NodeView& node) override {
     nodes_.emplace_back(node.cut->k, *node.state);
   }
-  [[nodiscard]] std::unique_ptr<Analysis> fork() override {
-    return std::make_unique<StateRecorder>();
-  }
-  void merge(Analysis& fork) override {
-    auto& f = static_cast<StateRecorder&>(fork);
-    nodes_.insert(nodes_.end(), f.nodes_.begin(), f.nodes_.end());
-  }
   [[nodiscard]] AnalysisReport report() const override {
     return AnalysisReport{name(), kind(), 0, ""};
   }
@@ -87,61 +73,56 @@ class StateRecorder final : public Analysis {
 
 TEST(FrontierState, RetainedNodesHoldTheirCutsValuation) {
   for (const auto& c : computations()) {
-    for (const std::size_t jobs : {1u, 4u}) {
-      LatticeOptions opts = withJobs(jobs);
-      opts.retention = Retention::kFull;
-      ComputationLattice lattice(c.graph, c.space, opts);
-      const LatticeStats& stats = lattice.build();
-      std::size_t nodes = 0;
-      for (const auto& level : lattice.levels()) {
-        for (const LevelNode& node : level) {
-          ++nodes;
-          EXPECT_EQ(node.state, foldedState(c.graph, c.space, node.cut.k))
-              << node.cut.toString() << " jobs " << jobs;
-        }
+    LatticeOptions opts;
+    opts.retention = Retention::kFull;
+    ComputationLattice lattice(c.graph, c.space, opts);
+    const LatticeStats& stats = lattice.build();
+    std::size_t nodes = 0;
+    for (const auto& level : lattice.levels()) {
+      for (const LevelNode& node : level) {
+        ++nodes;
+        EXPECT_EQ(node.state, foldedState(c.graph, c.space, node.cut.k))
+            << node.cut.toString();
       }
-      EXPECT_EQ(nodes, stats.totalNodes);
     }
+    EXPECT_EQ(nodes, stats.totalNodes);
   }
 }
 
 TEST(FrontierState, OnlineNodesHoldTheirCutsValuation) {
   for (const auto& c : computations()) {
-    for (const std::size_t jobs : {1u, 4u}) {
+    for (const std::uint64_t seed : {1u, 4u}) {
       StateRecorder recorder;
       AnalysisBus bus({&recorder});
-      OnlineAnalyzer online(c.space, c.graph.threadCount(), bus,
-                            withJobs(jobs));
-      for (const auto& m : shuffledMessages(c.graph, jobs)) {
+      OnlineAnalyzer online(c.space, c.graph.threadCount(), bus);
+      for (const auto& m : shuffledMessages(c.graph, seed)) {
         online.onMessage(m);
       }
       online.endOfTrace();
       ASSERT_TRUE(online.finished());
       EXPECT_EQ(recorder.nodes_.size(), online.stats().totalNodes);
       for (const auto& [k, state] : recorder.nodes_) {
-        EXPECT_EQ(state, foldedState(c.graph, c.space, k)) << "jobs " << jobs;
+        EXPECT_EQ(state, foldedState(c.graph, c.space, k)) << "seed " << seed;
       }
     }
   }
 }
 
-TEST(FrontierState, EdgeTalliesAgreeAcrossJobsAndModes) {
+TEST(FrontierState, EdgeTalliesAgreeAcrossModes) {
   for (const auto& c : computations()) {
     // maxFrontier 2: the ladder drops cuts on wide levels.
     for (const std::size_t maxFrontier : {std::size_t{0}, std::size_t{2}}) {
       std::vector<LatticeStats> runs;
-      for (const std::size_t jobs : {1u, 4u}) {
-        LatticeOptions opts = withJobs(jobs);
-        opts.maxFrontier = maxFrontier;
-        ComputationLattice batch(c.graph, c.space, opts);
-        runs.push_back(batch.build());
-        OnlineAnalyzer online(c.space, c.graph.threadCount(), nullptr, opts);
-        for (const auto& m : shuffledMessages(c.graph, 11)) {
-          online.onMessage(m);
-        }
-        online.endOfTrace();
-        runs.push_back(online.stats());
+      LatticeOptions opts;
+      opts.maxFrontier = maxFrontier;
+      ComputationLattice batch(c.graph, c.space, opts);
+      runs.push_back(batch.build());
+      OnlineAnalyzer online(c.space, c.graph.threadCount(), nullptr, opts);
+      for (const auto& m : shuffledMessages(c.graph, 11)) {
+        online.onMessage(m);
       }
+      online.endOfTrace();
+      runs.push_back(online.stats());
       const LatticeStats& ref = runs.front();
       EXPECT_GT(ref.internMisses, 0u);
       if (maxFrontier == 0) {

@@ -84,29 +84,5 @@ TEST(LatticeIntern, JoinsCountAsHits) {
   EXPECT_EQ(stats.internHits, 4u);
 }
 
-TEST(LatticeIntern, CountsDeterministicAcrossJobs) {
-  // Workers build cuts into private frontiers, but the tallies are taken
-  // from the merged level — any jobs count agrees.
-  const auto c = xyzComputation();
-  LatticeStats serial;
-  LatticeStats parallel;
-  {
-    LatticeOptions opts;
-    opts.parallel.jobs = 1;
-    ComputationLattice lattice(c.graph, c.space, opts);
-    serial = lattice.build();
-  }
-  {
-    LatticeOptions opts;
-    opts.parallel.jobs = 4;
-    opts.parallel.minFrontier = 1;  // force the parallel path
-    ComputationLattice lattice(c.graph, c.space, opts);
-    parallel = lattice.build();
-  }
-  EXPECT_EQ(serial.internHits, parallel.internHits);
-  EXPECT_EQ(serial.internMisses, parallel.internMisses);
-  EXPECT_EQ(serial.totalNodes, parallel.totalNodes);
-}
-
 }  // namespace
 }  // namespace mpx::observer

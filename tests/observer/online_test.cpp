@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <tuple>
 
 #include "../support/fixtures.hpp"
@@ -77,6 +78,46 @@ TEST(OnlineAnalyzer, AnyArrivalOrderSameResult) {
   }
   EXPECT_EQ(*nodes, 7u);
   EXPECT_EQ(*nViolations, 1u);
+}
+
+TEST(OnlineAnalyzer, ShuffledArrivalMatchesBatchViolationsOnXyz) {
+  // Not just the same counts: the same violations, keyed by (cut, state,
+  // monitor state), as the batch lattice finds on the observed order.
+  const auto c = xyzComputation();
+  const auto key = [](const Violation& v) {
+    return v.cut.toString() + '|' + v.state.toString() + '|' +
+           std::to_string(v.monitorState);
+  };
+  const auto sortedKeys = [&key](const std::vector<Violation>& vs) {
+    std::vector<std::string> keys;
+    for (const auto& v : vs) keys.push_back(key(v));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  LatticeOptions opts;
+  opts.maxViolations = 1u << 20;  // the cap must not bind
+
+  logic::SynthesizedMonitor batchMon(
+      logic::SpecParser(c.space).parse(program::corpus::xyzProperty()));
+  ComputationLattice batch(c.graph, c.space, opts);
+  std::vector<Violation> batchViolations;
+  batch.check(batchMon, batchViolations);
+  ASSERT_FALSE(batchViolations.empty());
+
+  auto msgs = messagesInOrder(c.graph);
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 5; ++round) {
+    std::shuffle(msgs.begin(), msgs.end(), rng);
+    logic::SynthesizedMonitor mon(
+        logic::SpecParser(c.space).parse(program::corpus::xyzProperty()));
+    OnlineAnalyzer online(c.space, c.prog.threadCount(), &mon, opts);
+    for (const auto& m : msgs) online.onMessage(m);
+    online.endOfTrace();
+    ASSERT_TRUE(online.finished()) << "round " << round;
+    EXPECT_EQ(online.stats().totalNodes, batch.stats().totalNodes);
+    EXPECT_EQ(sortedKeys(online.violations()), sortedKeys(batchViolations))
+        << "round " << round;
+  }
 }
 
 TEST(OnlineAnalyzer, LevelsAdvanceAsMessagesArrive) {
