@@ -174,8 +174,11 @@ observer::AnalysisReport MhpPrefilter::report() const {
   std::ostringstream os;
   os << "mhp: never-concurrent-pairs=" << pairs.size()
      << " race-free-vars=" << raceFree.size() << '\n';
+  // A message may name a variable the handshake's table lacks (a hostile
+  // stream or snapshot): print its id rather than throw.
   const auto nameOf = [&](VarId v) {
-    return vars_ != nullptr ? vars_->name(v) : "v" + std::to_string(v);
+    return vars_ != nullptr && v < vars_->size() ? vars_->name(v)
+                                                 : "v" + std::to_string(v);
   };
   for (const auto& [lo, hi] : pairs) {
     os << "  ordered: " << nameOf(lo) << " , " << nameOf(hi) << '\n';

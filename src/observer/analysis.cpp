@@ -138,24 +138,27 @@ bool AnalysisBus::acceptViolation(Violation& v) {
   return accepted;
 }
 
-void AnalysisBus::dispatchLevel(const detail::Frontier& frontier,
+void AnalysisBus::dispatchLevel(const detail::Level& frontier,
                                 std::uint64_t level, MonitorSetArena& msets) {
   if (!wantsNodes_) return;
   telemetry::ScopedTimer timer(AnalysisMetrics::get().nodeDispatchNs);
 
-  // Sorted by cut: the node order is a pure function of the lattice.
-  std::vector<const std::pair<const Cut, detail::FrontierNode>*> items;
-  items.reserve(frontier.size());
-  for (const auto& kv : frontier) items.push_back(&kv);
-  std::sort(items.begin(), items.end(),
-            [](const auto* a, const auto* b) { return a->first.k < b->first.k; });
-
-  for (const auto* kv : items) {
-    const auto& [cut, node] = *kv;
+  // Sorted by cut: the node order is a pure function of the lattice.  The
+  // plugins see each row through one Cut and one GlobalState reused across
+  // the level.
+  Cut cut;
+  GlobalState state;
+  for (const std::uint32_t row : frontier.order()) {
+    cut.k.assign(frontier.cut(row), frontier.cut(row) + frontier.threads());
+    state.values.assign(frontier.state(row),
+                        frontier.state(row) + frontier.slots());
     std::vector<MonitorState> ms;
-    ms.reserve(node.mstates.size());
-    for (const auto& [m, witness] : node.mstates) ms.push_back(m);
-    const NodeView view{&cut, &node.state, node.pathCount, level,
+    ms.reserve(frontier.entryCount(row));
+    for (std::uint32_t e = frontier.firstEntry(row); e != detail::Level::kEnd;
+         e = frontier.entry(e).next) {
+      ms.push_back(frontier.entry(e).state);
+    }
+    const NodeView view{&cut, &state, frontier.pathCount(row), level,
                         msets.intern(std::move(ms))};
     for (Analysis* p : plugins_) {
       if (p->wantsNodes()) p->onNode(view);

@@ -39,8 +39,8 @@
 
 namespace mpx::observer {
 
-/// One completed lattice node as shown to plugins.  `state` points at the
-/// node's own state and is valid only during the dispatch.  `monitorStates`
+/// One completed lattice node as shown to plugins.  `cut` and `state` are
+/// valid only during the onNode call.  `monitorStates`
 /// is interned: pointer equality is value equality, and a plugin may key
 /// caches on that pointer.
 struct NodeView {
@@ -210,9 +210,10 @@ class AnalysisBus {
   /// True when some plugin wants per-node dispatch.
   [[nodiscard]] bool wantsNodes() const noexcept { return wantsNodes_; }
 
-  /// Dispatches one completed level's nodes (sorted by cut) to every
-  /// node-observing plugin; msets are interned into `msets` first.
-  void dispatchLevel(const detail::Frontier& frontier, std::uint64_t level,
+  /// Dispatches one completed level's nodes (sorted by cut: `frontier`'s
+  /// order() must be current) to every node-observing plugin; msets are
+  /// interned into `msets` first.
+  void dispatchLevel(const detail::Level& frontier, std::uint64_t level,
                      MonitorSetArena& msets);
 
   /// Runs every plugin's raw-event hook (observed order).

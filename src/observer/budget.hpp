@@ -9,7 +9,7 @@
 //             + bytes of the previous (still live) frontier
 //             + bytes of the freshly expanded frontier
 //
-// Each frontier node owns its global state, so the frontier bytes include
+// Each frontier row holds its global state, so the frontier bytes include
 // the states; nothing else grows with the length of the trace.
 //
 // under a DETERMINISTIC byte model: every container node is charged a
@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "observer/intern.hpp"
@@ -55,38 +56,48 @@
 
 namespace mpx::observer::detail {
 
-/// Byte model of one live frontier entry: unordered_map node + FrontierNode
-/// payload (state vector header, path count, map header, witness pointer)
-/// + its share of the bucket array.
+// The byte model below was fitted to the map-based frontier that predates
+// the flat rows of detail::Level (one hash-map node and one rb-tree node
+// per monitor entry).  It is kept unchanged so budget decisions and the
+// accounted totals stay identical: it is a model, not malloc truth.
+
+/// Byte model of one live frontier row: hash-map node + node payload
+/// (state vector header, path count, map header, witness pointer) + its
+/// share of the bucket array.
 inline constexpr std::uint64_t kFrontierNodeBytes = 112;
 /// Per-component cost of the cut key stored in the node.
 inline constexpr std::uint64_t kCutComponentBytes = sizeof(std::uint32_t);
-/// One (MonitorState, witness) entry of a node's mstates map (rb-tree node
-/// + key + shared_ptr).
+/// One (MonitorState, witness) entry of a node (rb-tree node + key +
+/// shared_ptr).
 inline constexpr std::uint64_t kMonitorEntryBytes = 64;
-/// One witness PathNode + its control block, charged per mstates entry
+/// One witness PathNode + its control block, charged per monitor entry
 /// when paths are recorded (suffix sharing makes this an upper bound per
 /// entry, which is the safe direction for a budget).
 inline constexpr std::uint64_t kPathNodeBytes = 48;
 
-/// Accounted bytes of one frontier node under the byte model.
-inline std::uint64_t frontierNodeBytes(const Cut& cut, const FrontierNode& node,
-                                       bool recordPaths) noexcept {
-  const std::uint64_t perEntry =
-      kMonitorEntryBytes + (recordPaths ? kPathNodeBytes : 0);
-  return kFrontierNodeBytes + cut.k.size() * kCutComponentBytes +
-         node.state.values.size() * sizeof(Value) +
-         node.mstates.size() * perEntry;
+/// Accounted bytes of one row without its monitor entries.
+inline std::uint64_t rowBaseBytes(const Level& level) noexcept {
+  return kFrontierNodeBytes + level.threads() * kCutComponentBytes +
+         level.slots() * sizeof(Value);
 }
 
-/// Accounted bytes of a whole frontier.
-inline std::uint64_t frontierBytes(const Frontier& frontier,
+/// Accounted bytes of one monitor entry.
+inline std::uint64_t entryBytes(bool recordPaths) noexcept {
+  return kMonitorEntryBytes + (recordPaths ? kPathNodeBytes : 0);
+}
+
+/// Accounted bytes of one row under the byte model.
+inline std::uint64_t frontierNodeBytes(const Level& level, std::uint32_t row,
+                                       bool recordPaths) noexcept {
+  return rowBaseBytes(level) + level.entryCount(row) * entryBytes(recordPaths);
+}
+
+/// Accounted bytes of a whole level: the sum of frontierNodeBytes over its
+/// rows, from the level's row and entry tallies.
+inline std::uint64_t frontierBytes(const Level& level,
                                    bool recordPaths) noexcept {
-  std::uint64_t total = 0;
-  for (const auto& [cut, node] : frontier) {
-    total += frontierNodeBytes(cut, node, recordPaths);
-  }
-  return total;
+  return level.size() * rowBaseBytes(level) +
+         level.entryTotal() * entryBytes(recordPaths);
 }
 
 /// splitmix64 finalizer: the sampler's rank function.  Pure, so the set of
@@ -100,26 +111,34 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
-/// Applies the degradation ladder to a freshly expanded frontier.
+/// Applies the degradation ladder to a freshly expanded level.
 ///
-/// `level` is the 1-based index of the level `frontier` sits at;
+/// `index` is the 1-based index of the level `frontier` sits at;
 /// `arenaBytesNow` = MonitorSetArena::bytes();
-/// `carryBytes` = accounted bytes of the previous frontier (still live
-/// while this one was expanded); `observedKey(cut)` must return the
-/// maximum globalSeq over the cut's per-thread last events (0 for the zero
-/// cut) — the key whose minimum identifies the observed-execution cut.
+/// `carryBytes` = accounted bytes of the previous level (still live while
+/// this one was expanded); `observedKey(cut)` must return the maximum
+/// globalSeq over the per-thread last events of the cut whose components
+/// `cut` points at (0 for the zero cut) — the key whose minimum identifies
+/// the observed-execution cut.
 ///
 /// On return `frontier` holds only the survivors, and stats carries the
 /// post-shed accounting (accountedBytes, peakAccountedBytes, droppedNodes,
 /// degradation, boundReason, degradedAtLevel, approximated).  Deterministic
 /// across delivery orders — see the file comment.
 template <typename ObservedKeyFn>
-void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
-                   LatticeStats& stats, std::uint64_t level,
+void enforceBudget(Level& frontier, const LatticeOptions& opts,
+                   LatticeStats& stats, std::uint64_t index,
                    std::uint64_t arenaBytesNow, std::uint64_t carryBytes,
                    const ObservedKeyFn& observedKey) {
   const std::uint64_t newBytes = frontierBytes(frontier, opts.recordPaths);
   const std::uint64_t fixed = arenaBytesNow + carryBytes;
+  const std::size_t threads = frontier.threads();
+  const auto cutLess = [&frontier, threads](std::uint32_t a,
+                                            std::uint32_t b) {
+    return std::lexicographical_compare(
+        frontier.cut(a), frontier.cut(a) + threads, frontier.cut(b),
+        frontier.cut(b) + threads);
+  };
 
   std::size_t maxCount = frontier.size();
   BoundReason reason = BoundReason::kNone;
@@ -143,34 +162,34 @@ void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
     // the end on every rung.  It is the floor the budget is measured
     // against: if even the floor exceeds the budget nothing more can be
     // shed, and peakAccountedBytes shows by how much it overshoots.
-    const Cut* observed = nullptr;
+    std::uint32_t observed = Level::kEnd;
     std::uint64_t observedK = 0;
-    for (const auto& [cut, node] : frontier) {
-      const std::uint64_t key = observedKey(cut);
-      if (observed == nullptr || key < observedK ||
-          (key == observedK && cut.k < observed->k)) {
-        observed = &cut;
+    for (std::uint32_t r = 0; r < frontier.size(); ++r) {
+      const std::uint64_t key = observedKey(frontier.cut(r));
+      if (observed == Level::kEnd || key < observedK ||
+          (key == observedK && cutLess(r, observed))) {
+        observed = r;
         observedK = key;
       }
     }
 
     // Rank the rest by the seeded hash; survival is independent of path
     // counts and of the order nodes were discovered in.
-    std::vector<const Cut*> order;
+    const std::uint64_t levelSalt = mix64(opts.degradationSeed ^ index);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
     order.reserve(frontier.size());
-    for (const auto& [cut, node] : frontier) {
-      if (&cut != observed) order.push_back(&cut);
+    for (std::uint32_t r = 0; r < frontier.size(); ++r) {
+      if (r == observed) continue;
+      order.emplace_back(
+          mix64(levelSalt ^ static_cast<std::uint64_t>(
+                                Cut::hashCut(frontier.cut(r), threads))),
+          r);
     }
-    const std::uint64_t levelSalt = mix64(opts.degradationSeed ^ level);
-    const auto rank = [levelSalt](const Cut& c) {
-      return mix64(levelSalt ^ static_cast<std::uint64_t>(c.hash()));
-    };
-    std::sort(order.begin(), order.end(), [&rank](const Cut* a, const Cut* b) {
-      const std::uint64_t ra = rank(*a);
-      const std::uint64_t rb = rank(*b);
-      if (ra != rb) return ra < rb;
-      return a->k < b->k;  // deterministic tie-break
-    });
+    std::sort(order.begin(), order.end(),
+              [&cutLess](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first < b.first;
+                return cutLess(a.second, b.second);  // deterministic tie-break
+              });
 
     // Greedy EXACT fill in rank order: survivors are the longest ranked
     // prefix whose actual bytes fit next to the fixed costs (so post-shed
@@ -181,25 +200,23 @@ void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
                        ? opts.memoryBudgetBytes - fixed
                        : 0;
     }
-    Frontier kept;
+    std::vector<std::uint32_t> kept{observed};
     std::uint64_t keptBytes =
-        frontierNodeBytes(*observed, frontier.at(*observed), opts.recordPaths);
-    kept.emplace(*observed, std::move(frontier.at(*observed)));
+        frontierNodeBytes(frontier, observed, opts.recordPaths);
     bool memoryBound = keptBytes > budgetLeft;
-    for (const Cut* c : order) {
+    for (const auto& [rank, r] : order) {
       if (kept.size() >= maxCount) break;
-      const std::uint64_t nb =
-          frontierNodeBytes(*c, frontier.at(*c), opts.recordPaths);
+      const std::uint64_t nb = frontierNodeBytes(frontier, r, opts.recordPaths);
       if (keptBytes + nb > budgetLeft) {
         memoryBound = true;
         break;
       }
       keptBytes += nb;
-      kept.emplace(*c, std::move(frontier.at(*c)));
+      kept.push_back(r);
     }
     const std::size_t dropped = frontier.size() - kept.size();
     if (memoryBound && kept.size() < maxCount) reason = BoundReason::kMemoryBudget;
-    frontier = std::move(kept);
+    frontier.keepRows(std::move(kept));
 
     if (dropped > 0) {
       // Degradation bookkeeping reflects RUN SHEDDING only: a frontier that
@@ -212,7 +229,7 @@ void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
       stats.approximated = true;  // absence of violations is best-effort now
       if (stats.degradation < rung) stats.degradation = rung;
       if (stats.boundReason == BoundReason::kNone) stats.boundReason = reason;
-      if (stats.degradedAtLevel == 0) stats.degradedAtLevel = level;
+      if (stats.degradedAtLevel == 0) stats.degradedAtLevel = index;
       if constexpr (telemetry::kEnabled) {
         ObserverMetrics& tm = ObserverMetrics::get();
         tm.degradedLevels.add(1);
@@ -222,8 +239,7 @@ void enforceBudget(Frontier& frontier, const LatticeOptions& opts,
     }
   }
 
-  stats.accountedBytes =
-      fixed + frontierBytes(frontier, opts.recordPaths);
+  stats.accountedBytes = fixed + frontierBytes(frontier, opts.recordPaths);
   stats.peakAccountedBytes =
       std::max(stats.peakAccountedBytes, stats.accountedBytes);
   if constexpr (telemetry::kEnabled) {

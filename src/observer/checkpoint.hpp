@@ -120,7 +120,9 @@ class Reader {
       failed_ = true;
       return false;
     }
-    std::memcpy(out, data_ + pos_, n);
+    // An empty copy may come with a null `out` (an empty vector's data()),
+    // which memcpy must not be handed.
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;
   }

@@ -2,9 +2,9 @@
 // analysis plugins (NodeView::monitorStates).  Identical sets are extremely
 // common — neighbouring cuts usually carry the same reachable-monitor-state
 // set — so each distinct set is stored once and a plugin may key caches on
-// the pointer.  Global states are NOT interned: each frontier node owns its
-// state (lattice_types.hpp), because almost every cut of a wide lattice
-// carries a valuation no other cut has.
+// the pointer.  Global states are NOT interned: each frontier row holds its
+// state (detail::Level, lattice_types.hpp), because almost every cut of a
+// wide lattice carries a valuation no other cut has.
 //
 // Invariants (DESIGN.md §5b):
 //   * An interned pointer stays valid for the arena's lifetime (node-based
@@ -44,8 +44,8 @@ class MonitorSetArena {
   MonitorSetArena(const MonitorSetArena&) = delete;
   MonitorSetArena& operator=(const MonitorSetArena&) = delete;
 
-  /// `states` must be sorted ascending (FrontierNode::mstates iterates its
-  /// keys in order, so callers get this for free).
+  /// `states` must be sorted ascending (a level row's monitor entries are
+  /// chained in that order, so callers get this for free).
   const std::vector<std::uint64_t>* intern(std::vector<std::uint64_t> states) {
     const std::uint64_t cost = kInternNodeBytes +
                                sizeof(std::vector<std::uint64_t>) +

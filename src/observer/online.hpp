@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -144,22 +145,26 @@ class OnlineAnalyzer final : public trace::MessageSink {
                  LatticeOptions opts);
 
   /// The k-th (1-based) message of thread j, if present.
-  [[nodiscard]] const trace::Message* find(ThreadId j, LocalSeq k) const;
+  [[nodiscard]] const detail::BufferedMessage* find(ThreadId j,
+                                                    LocalSeq k) const;
 
   /// Advance whole levels while every needed next-event is available (or
   /// known absent because the trace ended).
   void tryAdvance();
   [[nodiscard]] bool canExpand() const;
   void expandOneLevel();
+  /// Thread j's message k_j + 1 for the cut `cut` points at, when it is
+  /// buffered and enabled there.
+  [[nodiscard]] const detail::BufferedMessage* nextAt(const std::uint32_t* cut,
+                                                      ThreadId j) const;
   /// Updates consumedK_/pending_ for the new frontier and frees every
   /// message below its per-thread minimum index.
   void settleFrontier();
-  [[nodiscard]] bool enabled(const Cut& cut, ThreadId j,
-                             const trace::Message& m) const;
-  /// Max globalSeq over the cut's per-thread last events — the budget
-  /// enforcer's observed-execution key (see budget.hpp).  Every event a
-  /// frontier cut includes has already arrived, so the lookup never misses.
-  [[nodiscard]] std::uint64_t observedPathKey(const Cut& cut) const;
+  /// Max globalSeq over the per-thread last events of the cut `cut` points
+  /// at — the budget enforcer's observed-execution key (see budget.hpp).
+  /// Every event a frontier cut includes has already arrived, so the
+  /// lookup never misses.
+  [[nodiscard]] std::uint64_t observedPathKey(const std::uint32_t* cut) const;
   /// Copies frontier_ into retained_[level] under Retention::kFull.
   void retainLevel(std::uint64_t level);
   /// Marks the analysis finished: snapshots intern stats and runs the
@@ -175,7 +180,7 @@ class OnlineAnalyzer final : public trace::MessageSink {
   /// until gaps fill).  Lower indices are freed: every frontier cut has
   /// k_j >= minK_[j], expansion reads only index k_j + 1, and the budget's
   /// observed-path key reads index k_j.
-  std::vector<std::unordered_map<LocalSeq, trace::Message>> buffered_;
+  std::vector<std::unordered_map<LocalSeq, detail::BufferedMessage>> buffered_;
   /// prefix_[j] = largest m such that thread j's messages 1..m have all
   /// arrived.  A message with index <= prefix_[j] is a duplicate.
   std::vector<LocalSeq> prefix_;
@@ -187,7 +192,17 @@ class OnlineAnalyzer final : public trace::MessageSink {
   std::size_t pending_ = 0;
   bool ended_ = false;
   bool finished_ = false;
-  detail::Frontier frontier_;
+  /// The live level and the one being built; swapped after each level.
+  /// They sit on the heap so the swap moves two pointers, and so the
+  /// analyzer object stays under glibc's 1 KiB large-request size: a larger
+  /// object's allocation first merges every small chunk freed since, which
+  /// made a session built right after another analyzer's teardown pay for
+  /// that analyzer's witness nodes (0.1 ms for a 16k-message chain).
+  std::unique_ptr<detail::Level> frontier_;
+  std::unique_ptr<detail::Level> next_;
+  /// The monitors' global state, refilled per edge (monitors take a
+  /// GlobalState; rows hold raw values).
+  GlobalState scratch_;
   /// Accounted bytes of frontier_ (budget.hpp byte model), maintained so
   /// each level's enforcement sees the previous frontier's carry cost.
   std::uint64_t liveFrontierBytes_ = 0;

@@ -3,6 +3,9 @@
 // programs — the paper derives the algorithm from exactly these properties.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/instrumentor.hpp"
 #include "core/reference.hpp"
 #include "program/corpus.hpp"
@@ -19,6 +22,18 @@ struct SweepCase {
   std::size_t vars;
   bool locks;
 };
+
+/// "p<program>s<schedule>t<threads>v<vars>[L]": the test name suffix.
+std::string label(const SweepCase& c) {
+  return "p" + std::to_string(c.programSeed) + "s" +
+         std::to_string(c.scheduleSeed) + "t" + std::to_string(c.threads) +
+         "v" + std::to_string(c.vars) + (c.locks ? "L" : "");
+}
+
+/// gtest prints the parameter after each test name; without this it
+/// prints the struct's raw bytes, padding included, which differ from
+/// build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << label(c); }
 
 class RequirementsSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -87,10 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{7, 13, 4, 2, true},
                       SweepCase{8, 17, 2, 4, true}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      const SweepCase& c = info.param;
-      return "p" + std::to_string(c.programSeed) + "s" +
-             std::to_string(c.scheduleSeed) + "t" + std::to_string(c.threads) +
-             "v" + std::to_string(c.vars) + (c.locks ? "L" : "");
+      return label(info.param);
     });
 
 // The same sweep with every access relevant (the race-detection relevance):

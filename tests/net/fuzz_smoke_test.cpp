@@ -10,10 +10,19 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "../support/level_oracle.hpp"
+#include "../support/trace_gen.hpp"
+#include "analysis/engine.hpp"
+#include "analysis/session.hpp"
 #include "fuzz_harness.hpp"
+#include "program/corpus.hpp"
+#include "program/scheduler.hpp"
 
 namespace mpx::testing::fuzz {
 namespace {
@@ -274,6 +283,205 @@ TEST(FuzzSmoke, RegressionSparseHostileIndices) {
   probe(4, 4);                                         // duplicate
   probe(9, 2);                                         // descending
   probe(1, trace::BinaryCodec::kMaxClockComponents);   // out of range
+}
+
+// ===================================================================
+// Session checkpoint blobs: AnalyzerSession::restore reads an untrusted
+// snapshot and rebuilds the analyzer's frontier from it.
+// ===================================================================
+
+/// A session configuration with the stream it analyzes; the blob under test
+/// is the checkpoint taken after `midpoint` messages.
+struct BlobCase {
+  std::string name;
+  analysis::AnalyzerSession::Config cfg;
+  std::vector<trace::Message> msgs;
+  std::size_t midpoint = 0;
+};
+
+/// A corpus or generated program run through the engine: its spec, the
+/// variables the engine tracked and its messages in observed order.
+BlobCase programCase(std::string name, const program::Program& prog,
+                     const std::string& spec,
+                     std::optional<std::vector<ThreadId>> schedule,
+                     std::uint64_t seed,
+                     std::vector<std::string> extraTracked = {},
+                     std::vector<std::string> analyses = {}) {
+  analysis::EngineConfig ec;
+  ec.specs = {spec};
+  ec.extraTrackedVars = extraTracked;
+  const analysis::Engine engine(prog, ec);
+  analysis::EngineResult r;
+  if (schedule) {
+    program::FixedScheduler sched(*schedule);
+    program::Executor ex(prog, sched);
+    r = engine.run(ex.run(), {});
+  } else {
+    r = engine.runWithSeed(seed);
+  }
+  BlobCase c;
+  c.name = std::move(name);
+  c.cfg.threads = static_cast<std::uint32_t>(prog.threadCount());
+  c.cfg.specs = {spec};
+  c.cfg.handshakeSpecs = c.cfg.specs;
+  for (std::size_t slot = 0; slot < r.space.size(); ++slot) {
+    c.cfg.tracked.push_back(r.space.name(slot));
+  }
+  c.cfg.vars = prog.vars;
+  c.cfg.analyses = std::move(analyses);
+  for (const auto& ref : r.causality.observedOrder()) {
+    c.msgs.push_back(r.causality.message(ref));
+  }
+  c.midpoint = c.msgs.size() / 2;
+  return c;
+}
+
+/// A generated stream of `relevant` messages.
+BlobCase streamCase(std::string name, std::uint64_t seed,
+                    std::size_t relevant) {
+  const StreamCase s = generateStreamCase(seed, relevant);
+  BlobCase c;
+  c.name = std::move(name);
+  c.cfg.threads = static_cast<std::uint32_t>(s.threads);
+  c.cfg.specs = {s.spec};
+  c.cfg.handshakeSpecs = c.cfg.specs;
+  c.cfg.tracked = s.tracked;
+  c.cfg.vars = s.vars;
+  c.msgs = s.msgs;
+  c.midpoint = c.msgs.size() / 2;
+  return c;
+}
+
+std::vector<BlobCase> blobCases() {
+  namespace corpus = program::corpus;
+  std::vector<BlobCase> out;
+  out.push_back(programCase("landing", corpus::landingController(),
+                            corpus::landingProperty(),
+                            corpus::landingObservedSchedule(), 0));
+  {
+    // Checkpointed inside the demo's atomic region, which is still open.
+    BlobCase c = programCase("atomicity+mhp demo", corpus::atomicityDemo(),
+                             "acct <= 100",
+                             corpus::atomicityDemoViolatingSchedule(), 0,
+                             {"acct", "audit"}, {"atomicity", "mhp"});
+    for (std::size_t i = 0; i < c.msgs.size(); ++i) {
+      if (c.msgs[i].event.kind == trace::EventKind::kRegionBegin) {
+        c.midpoint = i + 2;
+        break;
+      }
+    }
+    out.push_back(std::move(c));
+  }
+  for (const std::uint64_t seed : {7u, 8u, 11u, 14u, 20u, 25u}) {
+    const GeneratedCase g = generateCase(seed);
+    std::vector<std::string> tracked;
+    for (std::size_t i = 0; i < g.options.vars; ++i) {
+      tracked.push_back("g" + std::to_string(i));
+    }
+    out.push_back(programCase("generated case " + std::to_string(seed),
+                              g.program, g.spec, std::nullopt,
+                              g.scheduleSeed, tracked));
+  }
+  out.push_back(streamCase("2-thread stream, 400 messages", 3, 400));
+  out.push_back(streamCase("3-thread stream, 300 messages", 4, 300));
+  {
+    BlobCase c = streamCase("4-thread stream under a memory budget", 5, 200);
+    c.cfg.lattice.memoryBudgetBytes = 16 * 1024;
+    out.push_back(std::move(c));
+  }
+  {
+    BlobCase c = streamCase("4-thread stream under a frontier cap", 8, 200);
+    c.cfg.lattice.maxFrontier = 3;
+    out.push_back(std::move(c));
+  }
+  {
+    // Open regions at the checkpoint: the demo's three rounds, cut in the
+    // middle of the second.
+    BlobCase c = programCase("atomicity demo, 3 rounds",
+                             corpus::atomicityDemo(3), "acct <= 300",
+                             std::nullopt, 17, {"acct", "audit"},
+                             {"atomicity"});
+    std::size_t begins = 0;
+    for (std::size_t i = 0; i < c.msgs.size(); ++i) {
+      if (c.msgs[i].event.kind == trace::EventKind::kRegionBegin &&
+          ++begins == 2) {
+        c.midpoint = i + 1;
+        break;
+      }
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+/// Restores `blob`; when accepted, feeds the rest of the stream, finishes
+/// and renders.  Returns whether restore accepted the blob.
+bool driveSessionBlob(const std::vector<std::uint8_t>& blob,
+                      const BlobCase& c) {
+  observer::ckpt::Reader r(blob);
+  std::unique_ptr<analysis::AnalyzerSession> s;
+  EXPECT_NO_THROW(s = analysis::AnalyzerSession::restore(r)) << c.name;
+  if (s == nullptr) return false;
+  const char* err = nullptr;
+  for (std::size_t i = c.midpoint; i < c.msgs.size(); ++i) {
+    (void)s->ingest(c.msgs[i], &err);
+  }
+  for (int i = 0; i < 4 && !s->finished(); ++i) s->noteStreamEnd();
+  (void)s->renderReport();
+  (void)s->analysisReports();
+  return true;
+}
+
+/// Mid-stream blobs of every case, with values of width 1, 2, 4 and 8
+/// overwritten at seeded offsets, and truncated at seeded lengths.  Restore
+/// may reject a mutated blob but must never crash, throw or hang, and the
+/// session it accepts must finish and render; no truncated blob is
+/// accepted.
+TEST(FuzzSmoke, SessionBlob) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const BlobCase& c : blobCases()) {
+    ASSERT_GT(c.midpoint, 0u) << c.name;
+    ASSERT_LT(c.midpoint, c.msgs.size()) << c.name;
+    analysis::AnalyzerSession session(c.cfg);
+    const char* err = nullptr;
+    for (std::size_t i = 0; i < c.midpoint; ++i) {
+      ASSERT_NE(session.ingest(c.msgs[i], &err),
+                analysis::AnalyzerSession::Ingest::kError)
+          << c.name << ": " << err;
+    }
+    observer::ckpt::Writer w;
+    session.checkpoint(w);
+    const std::vector<std::uint8_t> blob = w.take();
+    ASSERT_TRUE(driveSessionBlob(blob, c)) << c.name;
+
+    std::mt19937_64 rng(std::hash<std::string>{}(c.name));
+    const std::uint64_t interesting[] = {0, 1, 2, 0x7f, 0x80, 0xff, 0xffff,
+                                         0xffffffffull, ~std::uint64_t{0}};
+    for (int i = 0; i < 400; ++i) {
+      const std::size_t width = std::size_t{1} << (i % 4);
+      if (blob.size() < width) continue;
+      std::vector<std::uint8_t> m = blob;
+      const std::size_t at = rng() % (blob.size() - width + 1);
+      const std::uint64_t v =
+          rng() % 2 == 0 ? interesting[rng() % std::size(interesting)] : rng();
+      for (std::size_t b = 0; b < width; ++b) {
+        m[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      }
+      ++(driveSessionBlob(m, c) ? accepted : rejected);
+    }
+    for (int i = 0; i < 100; ++i) {
+      const std::vector<std::uint8_t> m(
+          blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(
+                                           rng() % blob.size()));
+      ASSERT_FALSE(driveSessionBlob(m, c))
+          << c.name << ": truncated to " << m.size() << " of " << blob.size();
+    }
+  }
+  // Both paths ran: mutated blobs that restore and finish, and ones that
+  // restore rejects.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

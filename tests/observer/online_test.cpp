@@ -519,6 +519,56 @@ TEST(OnlineWindow, RestoreRejectsForgedFrontierBytes) {
   EXPECT_FALSE(restored.restore(r));
 }
 
+TEST(OnlineWindow, RestoreRejectsDuplicateCutsAndWrongWidths) {
+  // A hand-written blob of a 2-thread analyzer over one variable, with no
+  // messages and a frontier of the given rows, each with the zero cut.
+  trace::VarTable vars;
+  vars.intern("x", 0);
+  const StateSpace space = StateSpace::byNames(vars, {"x"});
+  const auto blob = [](std::size_t rows, std::size_t cutWidth,
+                       std::size_t stateWidth) {
+    ckpt::Writer w;
+    w.u8(1);                       // layout version
+    w.u64(2);                      // threads
+    w.boolean(false);              // ended
+    w.boolean(false);              // finished
+    w.u64(0);                      // pending
+    for (int j = 0; j < 2; ++j) w.u64(0);  // consumedK
+    for (int j = 0; j < 2; ++j) w.u64(0);  // buffered messages per thread
+    w.u64(1);                      // one state ...
+    w.u64(stateWidth);             // ... of this width
+    for (std::size_t i = 0; i < stateWidth; ++i) w.i64(0);
+    w.u64(0);                      // retired state-arena word
+    w.u64(0);                      // monitor sets
+    w.u64(0);                      // monitor-set hits
+    w.u64(0);                      // witness path nodes
+    w.u64(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      w.u64(cutWidth);
+      for (std::size_t j = 0; j < cutWidth; ++j) w.u32(0);
+      w.u64(0);  // state index
+      w.u64(1);  // path count
+      w.u64(0);  // monitor entries
+      w.u64(0);  // witness when no monitor runs
+    }
+    w.u64(rows * (112 + 2 * 4 + 8));  // the byte model's frontier tally
+    // The stats block, all zero: 19 words and 3 flags (interleaved, so
+    // all-zero bytes in any order), then the rung and the bound reason.
+    for (int i = 0; i < 19 * 8 + 3 + 2; ++i) w.u8(0);
+    w.u64(0);  // violations
+    return w.take();
+  };
+  const auto restores = [&space](const std::vector<std::uint8_t>& bytes) {
+    OnlineAnalyzer a(space, 2, nullptr);
+    ckpt::Reader r(bytes);
+    return a.restore(r);
+  };
+  EXPECT_TRUE(restores(blob(1, 2, 1)));
+  EXPECT_FALSE(restores(blob(2, 2, 1)));  // the zero cut twice
+  EXPECT_FALSE(restores(blob(1, 3, 1)));  // a cut of three components
+  EXPECT_FALSE(restores(blob(1, 2, 2)));  // a state of two values
+}
+
 TEST(OnlineWindow, BlobCarryingConsumedMessagesRestores) {
   // Analyzers that kept every message wrote blobs with the same layout
   // but a message section holding all arrived messages.  Build one by
