@@ -14,6 +14,7 @@
 
 #include "core/instrumentor.hpp"
 #include "observer/lattice.hpp"
+#include "observer/lattice_types.hpp"
 #include "program/corpus.hpp"
 #include "program/scheduler.hpp"
 #include "trace/channel.hpp"
@@ -100,6 +101,33 @@ void BM_Lattice_SerializedWriters(benchmark::State& state) {
   state.counters["runs"] = static_cast<double>(stats.pathCount);
 }
 BENCHMARK(BM_Lattice_SerializedWriters)->Args({3, 5})->Args({4, 8});
+
+void BM_Level_NarrowAfterWide(benchmark::State& state) {
+  // A narrow level (one cut and its successor on 4 threads) built into a
+  // detail::Level that once held `peak` rows: the reused level keeps its
+  // capacity, and a level should still cost what its own width costs —
+  // the same for every `peak`.
+  constexpr std::size_t kThreads = 4;
+  const auto peak = static_cast<std::uint32_t>(state.range(0));
+  observer::detail::Level level;
+  level.reset(kThreads, 1);
+  for (std::uint32_t i = 0; i < peak; ++i) {
+    const std::uint32_t cut[kThreads] = {i, peak - i, 0, 0};
+    level.insert(cut);
+  }
+  level.clear();
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    const std::uint32_t cut[kThreads] = {k, k, k, k};
+    const std::uint32_t row = level.insert(cut).first;
+    level.insertSuccessor(level, row, 0);
+    level.sortRows();
+    benchmark::DoNotOptimize(level.order().data());
+    level.clear();
+    ++k;
+  }
+}
+BENCHMARK(BM_Level_NarrowAfterWide)->Arg(1)->Arg(1024)->Arg(131072);
 
 void printLevelTable() {
   std::printf(
